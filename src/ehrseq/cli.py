@@ -173,10 +173,9 @@ def cmd_build_vocab(args) -> dict:
 def cmd_train(args) -> dict:
     patients = _load_patients(args.patients)
     vocab = corpus.Vocabulary.load(args.vocab)
-    cfg = _model_config(args, len(vocab))
+    cfg = replace(_model_config(args, len(vocab)), use_gender_age=not args.no_gender_age)
     model = encoder.EncoderModel.build(cfg, vocab_sha256=vocab.sha256())
-    samples = [corpus.encode_history(p, vocab, H=cfg.H,
-                                     use_gender_age=not args.no_gender_age)
+    samples = [corpus.encode_history(p, vocab, H=cfg.H, use_gender_age=cfg.use_gender_age)
                for p in patients]
     log = (lambda msg: print(msg, file=sys.stderr)) if args.verbose else None
     history = encoder.train(model, samples, log=log)
@@ -364,12 +363,7 @@ def cmd_score_eval(args) -> dict:
     records = _load_insurance(args.insurance)
     source = None
     if artifact.schema.scheme == "replacement":
-        if not (args.model and args.vocab):
-            raise ValueError("replacement-scheme scorer needs --model and --vocab")
-        model, vocab = _load_model_and_vocab(args)
-        strategy = artifact.meta.get("embedding_strategy") or "mean"
-        source = scoring.EmbeddingSource(model, vocab, artifact.group_table,
-                                         strategy=strategy)
+        source = scoring.load_embedding_source(artifact, args.model, args.vocab)
     X, _ = scoring.assemble_features(records, artifact.schema.scheme,
                                      schema=artifact.schema, embedding_source=source)
     scores = scoring.ridge_predict(artifact.model, X, artifact.schema)

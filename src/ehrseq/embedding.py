@@ -1,7 +1,9 @@
 """Patient and concept embeddings on top of a trained encoder.
 
-Pooling turns per-position contextual vectors into one fixed vector per
-patient. Mean and max run over all non-PAD positions, including the CLS and
+:func:`embed_batch` is the one embedding path: it encodes histories, pads
+them into batches, runs one forward pass per batch and pools the contextual
+vectors into one fixed vector per patient under each requested strategy.
+Mean and max run over all non-PAD positions, including the CLS and
 demographic slots (an ``events_only`` flag restricts them to event slots).
 On the static token table the module answers nearest-neighbor queries; on a
 corpus it builds (gender, age) group averages with a coarsening fallback
@@ -29,9 +31,10 @@ from .corpus import (
     Vocabulary,
     encode_history,
 )
-from .encoder import EncoderModel, predict_next_distribution_batch
+from .encoder import EncoderModel, predict_next_distribution_batch, stack_samples
 
 POOLING_STRATEGIES = ("cls", "mean", "max", "concat_mean_max")
+EMBED_CHUNK = 256  # histories per forward pass
 
 
 @dataclass
@@ -39,31 +42,16 @@ class PatientEmbedding:
     patient_id: str
     vector: np.ndarray
     strategy: str
-    model_hash: str
 
 
 def pool(hidden: np.ndarray, attention_mask: np.ndarray, strategy: str,
          events_only: bool = False) -> np.ndarray:
     """Reduce (L, d) contextual vectors to one vector over non-PAD positions."""
-    if strategy not in POOLING_STRATEGIES:
-        raise ValueError(f"pooling strategy must be one of {POOLING_STRATEGIES}, got {strategy!r}")
     hidden = np.asarray(hidden)
-    mask = np.asarray(attention_mask).astype(bool)
+    mask = np.asarray(attention_mask)
     if hidden.ndim != 2 or mask.shape != (hidden.shape[0],):
         raise ValueError(f"expected (L, d) vectors and (L,) mask, got {hidden.shape} / {mask.shape}")
-    if events_only:
-        mask = mask.copy()
-        mask[:3] = False
-    if not mask.any():
-        raise ValueError("no positions to pool over (all PAD)")
-    if strategy == "cls":
-        return hidden[0].copy()
-    kept = hidden[mask]
-    if strategy == "mean":
-        return kept.mean(axis=0)
-    if strategy == "max":
-        return kept.max(axis=0)
-    return np.concatenate([kept.mean(axis=0), kept.max(axis=0)])
+    return _pool_batch(hidden[None], mask[None], strategy, events_only)[0]
 
 
 def embedding_dim(d: int, strategy: str) -> int:
@@ -74,7 +62,7 @@ def embedding_dim(d: int, strategy: str) -> int:
 
 def _pool_batch(hidden: np.ndarray, mask: np.ndarray, strategy: str,
                 events_only: bool = False) -> np.ndarray:
-    """Vectorized pool over a (B, L, d) batch; mirrors :func:`pool` exactly."""
+    """Pool a (B, L, d) batch of contextual vectors under a (B, L) mask."""
     if strategy not in POOLING_STRATEGIES:
         raise ValueError(f"pooling strategy must be one of {POOLING_STRATEGIES}, got {strategy!r}")
     m = mask.astype(bool)
@@ -95,32 +83,42 @@ def _pool_batch(hidden: np.ndarray, mask: np.ndarray, strategy: str,
     return np.concatenate([mean, mx], axis=1)
 
 
+def embed_batch(
+    model: EncoderModel,
+    histories: Sequence[PatientHistory],
+    vocab: Vocabulary,
+    poolings: Sequence[str],
+    events_only: bool = False,
+) -> dict[str, np.ndarray]:
+    """Pooled vectors of many histories, one float64 (N, dim) array per strategy.
+
+    Histories are encoded as the model was trained (``config.use_gender_age``)
+    and run through one forward pass per chunk, pooled under every strategy.
+    """
+    cfg = model.config
+    out = {s: np.empty((len(histories), embedding_dim(cfg.d, s))) for s in poolings}
+    for start in range(0, len(histories), EMBED_CHUNK):
+        chunk = histories[start : start + EMBED_CHUNK]
+        samples = [encode_history(p, vocab, H=cfg.H, use_gender_age=cfg.use_gender_age)
+                   for p in chunk]
+        ids, attn = stack_samples(samples)
+        hidden, _ = model.forward(ids, attn)
+        for s in poolings:
+            out[s][start : start + len(chunk)] = _pool_batch(hidden.data, attn, s, events_only)
+    return out
+
+
 def patient_embeddings(
     model: EncoderModel,
     patients: Sequence[PatientHistory],
     vocab: Vocabulary,
     strategy: str = "mean",
     events_only: bool = False,
-    use_gender_age: bool = True,
-    batch_size: int = 256,
 ) -> list[PatientEmbedding]:
-    """Embed many patients; encode -> forward -> pool, batched for speed."""
-    if strategy not in POOLING_STRATEGIES:
-        raise ValueError(f"pooling strategy must be one of {POOLING_STRATEGIES}, got {strategy!r}")
-    model_hash = model.params_sha256()
-    out: list[PatientEmbedding] = []
-    H = model.config.H
-    for start in range(0, len(patients), batch_size):
-        chunk = patients[start : start + batch_size]
-        samples = [encode_history(p, vocab, H=H, use_gender_age=use_gender_age) for p in chunk]
-        longest = max(s.length for s in samples)
-        ids = np.stack([s.token_ids[:longest] for s in samples])
-        attn = np.stack([s.attention_mask[:longest] for s in samples])
-        hidden, _ = model.forward(ids, attn)
-        vecs = _pool_batch(hidden.data, attn, strategy, events_only=events_only)
-        for p, v in zip(chunk, vecs):
-            out.append(PatientEmbedding(p.patient_id, v.astype(np.float32), strategy, model_hash))
-    return out
+    """Embed many patients as float32 vectors under one pooling strategy."""
+    vecs = embed_batch(model, patients, vocab, (strategy,), events_only)[strategy]
+    return [PatientEmbedding(p.patient_id, v.astype(np.float32), strategy)
+            for p, v in zip(patients, vecs)]
 
 
 def patient_embedding(
@@ -129,9 +127,8 @@ def patient_embedding(
     vocab: Vocabulary,
     strategy: str = "mean",
     events_only: bool = False,
-    use_gender_age: bool = True,
 ) -> PatientEmbedding:
-    return patient_embeddings(model, [p], vocab, strategy, events_only, use_gender_age)[0]
+    return patient_embeddings(model, [p], vocab, strategy, events_only)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +247,11 @@ def average_group_embedding(
     patients: Sequence[PatientHistory],
     vocab: Vocabulary,
     strategy: str = "mean",
-    use_gender_age: bool = True,
 ) -> GroupTable:
     """Mean embedding per (gender, age in years) and per (gender, decade)."""
     if not patients:
         raise ValueError("cannot average over an empty corpus")
-    embs = patient_embeddings(model, patients, vocab, strategy, use_gender_age=use_gender_age)
+    embs = patient_embeddings(model, patients, vocab, strategy)
     dim = embs[0].vector.shape[0]
     by_age = np.zeros((2, N_AGES, dim), dtype=np.float64)
     age_counts = np.zeros((2, N_AGES), dtype=np.int64)

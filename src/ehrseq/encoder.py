@@ -52,6 +52,7 @@ class ModelConfig:
     ffn_dim: int = 0  # 0 -> 4*d
     max_len: int = 131  # 3 demographic slots + H event slots
     use_positional: bool = True
+    use_gender_age: bool = True  # False: placeholder ids in the demographic slots
     dropout: float = 0.1
     mask_prob: float = 0.25
     mask_mode: str = "bert"
@@ -100,13 +101,11 @@ class MaskedBatch:
     attention_mask: np.ndarray  # (B, L)
 
 
-def _stack_samples(samples: Sequence[EncodedSample], trim: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    ids = np.stack([s.token_ids for s in samples])
-    mask = np.stack([s.attention_mask for s in samples])
-    if trim:
-        longest = int(max(s.length for s in samples))
-        ids = ids[:, :longest]
-        mask = mask[:, :longest]
+def stack_samples(samples: Sequence[EncodedSample]) -> tuple[np.ndarray, np.ndarray]:
+    """Batch encoded samples into (ids, attention mask), trimmed to the longest row."""
+    longest = int(max(s.length for s in samples))
+    ids = np.stack([s.token_ids[:longest] for s in samples])
+    mask = np.stack([s.attention_mask[:longest] for s in samples])
     return ids, mask
 
 
@@ -116,7 +115,6 @@ def mlm_mask(
     rng: np.random.Generator,
     vocab_size: int,
     mode: str = "bert",
-    trim: bool = True,
 ) -> MaskedBatch:
     """Select event positions with probability mask_prob and hide them.
 
@@ -132,7 +130,7 @@ def mlm_mask(
         raise ValueError(
             f"bert masking draws random diagnosis ids, needs vocab_size > {ICD_OFFSET}, got {vocab_size}"
         )
-    ids, attn = _stack_samples(samples, trim=trim)
+    ids, attn = stack_samples(samples)
     B, L = ids.shape
     positions = np.arange(L)
     eligible = (attn == 1) & (positions >= 3)
@@ -151,6 +149,32 @@ def mlm_mask(
     return MaskedBatch(out, labels, attn)
 
 
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Parameter names and shapes in creation order; the order fixes the
+    random-init draws of :meth:`EncoderModel.build`."""
+    d, f = config.d, config.ffn_dim
+    shapes: dict[str, tuple[int, ...]] = {"tok_emb": (config.vocab_size, d)}
+    if config.use_positional:
+        shapes["pos_emb"] = (config.max_len, d)
+    shapes["emb_ln_g"] = (d,)
+    shapes["emb_ln_b"] = (d,)
+    for i in range(config.n_layers):
+        for proj in ("q", "k", "v", "o"):
+            shapes[f"l{i}.attn_w{proj}"] = (d, d)
+            shapes[f"l{i}.attn_b{proj}"] = (d,)
+        shapes[f"l{i}.ln1_g"] = (d,)
+        shapes[f"l{i}.ln1_b"] = (d,)
+        shapes[f"l{i}.ffn_w1"] = (d, f)
+        shapes[f"l{i}.ffn_b1"] = (f,)
+        shapes[f"l{i}.ffn_w2"] = (f, d)
+        shapes[f"l{i}.ffn_b2"] = (d,)
+        shapes[f"l{i}.ln2_g"] = (d,)
+        shapes[f"l{i}.ln2_b"] = (d,)
+    shapes["dec_w"] = (d, config.vocab_size)
+    shapes["dec_b"] = (config.vocab_size,)
+    return shapes
+
+
 class EncoderModel:
     """Parameter store plus forward pass; immutable once training finishes."""
 
@@ -166,37 +190,17 @@ class EncoderModel:
 
     @classmethod
     def build(cls, config: ModelConfig, vocab_sha256: str = "") -> "EncoderModel":
+        """Random init: matrices N(0, 0.02), layer-norm gains one, biases zero."""
         rng = np.random.default_rng(config.seed)
-        d, V, L = config.d, config.vocab_size, config.max_len
-        f = config.ffn_dim
-
-        def normal(*shape):
-            return (rng.standard_normal(shape) * 0.02).astype(np.float32)
-
         p: dict[str, Tensor] = {}
-
-        def par(name, arr):
+        for name, shape in _param_shapes(config).items():
+            if len(shape) == 2:
+                arr = (rng.standard_normal(shape) * 0.02).astype(np.float32)
+            elif name.endswith("_g"):
+                arr = np.ones(shape, dtype=np.float32)
+            else:
+                arr = np.zeros(shape, dtype=np.float32)
             p[name] = T.parameter(arr, name=name)
-
-        par("tok_emb", normal(V, d))
-        if config.use_positional:
-            par("pos_emb", normal(L, d))
-        par("emb_ln_g", np.ones(d, dtype=np.float32))
-        par("emb_ln_b", np.zeros(d, dtype=np.float32))
-        for i in range(config.n_layers):
-            for proj in ("q", "k", "v", "o"):
-                par(f"l{i}.attn_w{proj}", normal(d, d))
-                par(f"l{i}.attn_b{proj}", np.zeros(d, dtype=np.float32))
-            par(f"l{i}.ln1_g", np.ones(d, dtype=np.float32))
-            par(f"l{i}.ln1_b", np.zeros(d, dtype=np.float32))
-            par(f"l{i}.ffn_w1", normal(d, f))
-            par(f"l{i}.ffn_b1", np.zeros(f, dtype=np.float32))
-            par(f"l{i}.ffn_w2", normal(f, d))
-            par(f"l{i}.ffn_b2", np.zeros(d, dtype=np.float32))
-            par(f"l{i}.ln2_g", np.ones(d, dtype=np.float32))
-            par(f"l{i}.ln2_b", np.zeros(d, dtype=np.float32))
-        par("dec_w", normal(d, V))
-        par("dec_b", np.zeros(V, dtype=np.float32))
         return cls(config, p, vocab_sha256=vocab_sha256)
 
     def params_sha256(self) -> str:
@@ -348,22 +352,22 @@ def train(
 # ---------------------------------------------------------------------------
 
 
-def _prefix_ids(prefix: PatientHistory, vocab: Vocabulary, cfg: ModelConfig,
-                use_gender_age: bool) -> np.ndarray:
-    """[CLS][GENDER][AGE][e1..ek][MASK] ids for a history prefix, unpadded."""
+def _prefix_sample(prefix: PatientHistory, vocab: Vocabulary, cfg: ModelConfig) -> EncodedSample:
+    """[CLS][GENDER][AGE][e1..ek][MASK] for a history prefix, k <= H-1."""
     keep = cfg.H - 1
     events = prefix.events[-keep:] if len(prefix.events) > keep else prefix.events
     trimmed = PatientHistory(prefix.patient_id, prefix.gender, prefix.age_years, list(events))
-    enc = encode_history(trimmed, vocab, H=cfg.H, use_gender_age=use_gender_age)
-    ids = enc.token_ids[: enc.length].tolist() + [MASK_ID]
-    return np.asarray(ids, dtype=np.int64)
+    enc = encode_history(trimmed, vocab, H=cfg.H, use_gender_age=cfg.use_gender_age)
+    enc.token_ids[enc.length] = MASK_ID
+    enc.attention_mask[enc.length] = 1
+    enc.length += 1
+    return enc
 
 
 def predict_next_distribution_batch(
     model: EncoderModel,
     prefixes: Sequence[PatientHistory],
     vocab: Vocabulary,
-    use_gender_age: bool = True,
 ) -> np.ndarray:
     """Next-code distributions for many prefixes at once; rows sum to 1.
 
@@ -374,18 +378,11 @@ def predict_next_distribution_batch(
         raise ValueError(
             f"vocabulary size {len(vocab)} does not match model vocab_size {model.config.vocab_size}"
         )
-    rows = [_prefix_ids(p, vocab, model.config, use_gender_age) for p in prefixes]
-    L = max(len(r) for r in rows)
-    B = len(rows)
-    ids = np.zeros((B, L), dtype=np.int64)
-    attn = np.zeros((B, L), dtype=np.int64)
-    mask_pos = np.empty(B, dtype=np.int64)
-    for i, r in enumerate(rows):
-        ids[i, : len(r)] = r
-        attn[i, : len(r)] = 1
-        mask_pos[i] = len(r) - 1
+    samples = [_prefix_sample(p, vocab, model.config) for p in prefixes]
+    ids, attn = stack_samples(samples)
+    mask_pos = np.array([s.length - 1 for s in samples])
     _, logits = model.forward(ids, attn, train=False)
-    at_mask = logits.data[np.arange(B), mask_pos]  # (B, V)
+    at_mask = logits.data[np.arange(len(samples)), mask_pos]  # (B, V)
     shifted = at_mask - at_mask.max(axis=-1, keepdims=True)
     probs = np.exp(shifted)
     probs[:, :ICD_OFFSET] = 0.0
@@ -397,10 +394,9 @@ def predict_next_distribution(
     model: EncoderModel,
     prefix: PatientHistory,
     vocab: Vocabulary,
-    use_gender_age: bool = True,
 ) -> np.ndarray:
     """Distribution over the vocabulary for the code following ``prefix``."""
-    return predict_next_distribution_batch(model, [prefix], vocab, use_gender_age)[0]
+    return predict_next_distribution_batch(model, [prefix], vocab)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -429,15 +425,15 @@ def load_checkpoint(path: str | Path, expected_vocab_sha256: str | None = None) 
             f"(hash {meta.get('vocab_sha256', '?')[:12]}..., expected {expected_vocab_sha256[:12]}...)"
         )
     config = ModelConfig(**meta["config"])
-    template = EncoderModel.build(config)
-    if set(arrays) != set(template.params):
-        missing = set(template.params) - set(arrays)
-        extra = set(arrays) - set(template.params)
+    shapes = _param_shapes(config)
+    if set(arrays) != set(shapes):
+        missing = set(shapes) - set(arrays)
+        extra = set(arrays) - set(shapes)
         raise ContainerError(f"checkpoint parameters do not match config (missing {sorted(missing)}, extra {sorted(extra)})")
-    for k, t in template.params.items():
-        if arrays[k].shape != t.data.shape:
-            raise ContainerError(f"parameter {k!r} has shape {arrays[k].shape}, expected {t.data.shape}")
-    params = {k: T.parameter(arrays[k], name=k) for k in template.params}
+    for k, shape in shapes.items():
+        if arrays[k].shape != shape:
+            raise ContainerError(f"parameter {k!r} has shape {arrays[k].shape}, expected {shape}")
+    params = {k: T.parameter(arrays[k], name=k) for k in shapes}
     model = EncoderModel(config, params, vocab_sha256=meta.get("vocab_sha256", ""),
                          epochs_completed=int(meta.get("epochs_completed", 0)))
     model.loss_history = list(meta.get("loss_history", []))

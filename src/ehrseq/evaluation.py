@@ -20,18 +20,18 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import ICD_OFFSET, UNK_ID, PatientHistory, Vocabulary, group_visits
+from .corpus import ICD_OFFSET, UNK_ID, PatientHistory, Vocabulary, encode_history, group_visits
 from .encoder import EncoderModel, ModelConfig, predict_next_distribution_batch
 from .encoder import train as train_encoder
-from .corpus import encode_history
-from .embedding import _pool_batch, embedding_dim
+from .embedding import embed_batch, embedding_dim
 from .scoring import ridge_solve
 
 OTHER_CATEGORY = "other"
+NEXT_CODE_CHUNK = 512  # prefixes per forward pass
 
 
 # ---------------------------------------------------------------------------
@@ -202,25 +202,24 @@ def baseline_previous() -> PreviousPredictor:
     return PreviousPredictor()
 
 
+def _next_code_chunks(model: EncoderModel, prefixes: Sequence[PatientHistory],
+                      vocab: Vocabulary) -> Iterator[np.ndarray]:
+    """Next-code distributions of consecutive chunks of ``prefixes``."""
+    for start in range(0, len(prefixes), NEXT_CODE_CHUNK):
+        yield predict_next_distribution_batch(model, prefixes[start : start + NEXT_CODE_CHUNK], vocab)
+
+
 class ModelNextCodePredictor:
     """argmax of the encoder's next-code distribution (lowest id on ties)."""
 
-    def __init__(self, model: EncoderModel, vocab: Vocabulary,
-                 use_gender_age: bool = True, batch_size: int = 512):
+    def __init__(self, model: EncoderModel, vocab: Vocabulary):
         self.model = model
         self.vocab = vocab
-        self.use_gender_age = use_gender_age
-        self.batch_size = batch_size
 
     def predict_batch(self, prefixes: Sequence[PatientHistory]) -> list[str]:
-        out: list[str] = []
-        for start in range(0, len(prefixes), self.batch_size):
-            chunk = prefixes[start : start + self.batch_size]
-            dists = predict_next_distribution_batch(self.model, chunk, self.vocab,
-                                                    self.use_gender_age)
-            for row in dists:
-                out.append(self.vocab.token(int(row.argmax())))
-        return out
+        return [self.vocab.token(int(i))
+                for dists in _next_code_chunks(self.model, prefixes, self.vocab)
+                for i in dists.argmax(axis=1)]
 
     def __call__(self, prefix: PatientHistory) -> str:
         return self.predict_batch([prefix])[0]
@@ -292,8 +291,7 @@ def _visit_task(p: PatientHistory, cat_map: CategoryMap) -> tuple[PatientHistory
     return replace(p, events=prior), target
 
 
-def model_category_scorer(model: EncoderModel, vocab: Vocabulary, cat_map: CategoryMap,
-                          use_gender_age: bool = True, batch_size: int = 512):
+def model_category_scorer(model: EncoderModel, vocab: Vocabulary, cat_map: CategoryMap):
     """Scorer assigning each category the summed next-code probability mass
     of its member codes."""
     indicator = np.zeros((vocab.n_icd, cat_map.n_categories), dtype=np.float64)
@@ -301,12 +299,8 @@ def model_category_scorer(model: EncoderModel, vocab: Vocabulary, cat_map: Categ
         indicator[j, cat_map.category_of(vocab.token(tid))] = 1.0
 
     def scorer(prefixes: Sequence[PatientHistory]) -> np.ndarray:
-        rows = []
-        for start in range(0, len(prefixes), batch_size):
-            chunk = prefixes[start : start + batch_size]
-            dists = predict_next_distribution_batch(model, chunk, vocab, use_gender_age)
-            rows.append(dists[:, ICD_OFFSET:] @ indicator)
-        return np.concatenate(rows, axis=0)
+        return np.concatenate([dists[:, ICD_OFFSET:] @ indicator
+                               for dists in _next_code_chunks(model, prefixes, vocab)])
 
     return scorer
 
@@ -473,13 +467,13 @@ def ablation_suite(
     report = EvalReport("ablation_precision_at_k")
     for use_pos in positional:
         for use_ga in gender_age:
-            cfg = replace(base_config, use_positional=use_pos, seed=seed)
+            cfg = replace(base_config, use_positional=use_pos, use_gender_age=use_ga, seed=seed)
             try:
                 model = EncoderModel.build(cfg, vocab_sha256=vocab.sha256())
-                samples = [encode_history(p, vocab, H=cfg.H, use_gender_age=use_ga)
+                samples = [encode_history(p, vocab, H=cfg.H, use_gender_age=cfg.use_gender_age)
                            for p in usable]
                 train_encoder(model, samples, log=log)
-                pooled = _embed_prefixes(model, prefixes, vocab, poolings, use_ga)
+                pooled = embed_batch(model, prefixes, vocab, poolings)
             except Exception as exc:  # keep the remaining grid alive
                 for pooling in poolings:
                     report.errors.append(f"{_variant_name(pooling, use_pos, use_ga)}: {exc}")
@@ -507,21 +501,3 @@ def _variant_name(pooling: str, use_pos: bool, use_ga: bool) -> str:
     if not use_ga:
         name += "_wo_gender_age"
     return name
-
-
-def _embed_prefixes(model: EncoderModel, prefixes: Sequence[PatientHistory],
-                    vocab: Vocabulary, poolings: Sequence[str],
-                    use_gender_age: bool, batch_size: int = 256) -> dict[str, np.ndarray]:
-    """One forward pass per batch, pooled under every requested strategy."""
-    H = model.config.H
-    out = {s: np.zeros((len(prefixes), embedding_dim(model.config.d, s))) for s in poolings}
-    for start in range(0, len(prefixes), batch_size):
-        chunk = prefixes[start : start + batch_size]
-        samples = [encode_history(p, vocab, H=H, use_gender_age=use_gender_age) for p in chunk]
-        longest = max(s.length for s in samples)
-        ids = np.stack([s.token_ids[:longest] for s in samples])
-        attn = np.stack([s.attention_mask[:longest] for s in samples])
-        hidden, _ = model.forward(ids, attn)
-        for s in poolings:
-            out[s][start : start + len(chunk)] = _pool_batch(hidden.data, attn, s)
-    return out

@@ -31,7 +31,7 @@ from scipy.stats import rankdata
 from .container import load_artifact, save_artifact
 from .corpus import GENDERS, ApplicationRecord, Event, PatientHistory, Vocabulary
 from .embedding import GroupTable, embedding_dim, patient_embeddings
-from .encoder import EncoderModel
+from .encoder import EncoderModel, load_checkpoint
 
 MISSING = "__missing__"
 LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -99,7 +99,7 @@ class EmbeddingSource:
     """
 
     def __init__(self, model: EncoderModel, vocab: Vocabulary, group_table: GroupTable,
-                 strategy: str = "mean", use_gender_age: bool = True, batch_size: int = 256):
+                 strategy: str = "mean"):
         if group_table.strategy != strategy:
             raise ValueError(
                 f"group table was built with strategy {group_table.strategy!r}, not {strategy!r}"
@@ -108,8 +108,6 @@ class EmbeddingSource:
         self.vocab = vocab
         self.group_table = group_table
         self.strategy = strategy
-        self.use_gender_age = use_gender_age
-        self.batch_size = batch_size
         self._cache: dict[tuple, np.ndarray] = {}
 
     @property
@@ -136,9 +134,7 @@ class EmbeddingSource:
         if pending:
             keys = list(pending)
             histories = [self._pseudo_history(g, a, codes) for g, a, codes in keys]
-            embs = patient_embeddings(self.model, histories, self.vocab, self.strategy,
-                                      use_gender_age=self.use_gender_age,
-                                      batch_size=self.batch_size)
+            embs = patient_embeddings(self.model, histories, self.vocab, self.strategy)
             for key, emb in zip(keys, embs):
                 vec = emb.vector.astype(np.float64)
                 self._cache[key] = vec
@@ -469,3 +465,18 @@ def load_scorer(path: str | Path) -> ScorerArtifact:
         group_table = GroupTable.from_arrays(meta.get("embedding_strategy") or "mean", arrays)
     return ScorerArtifact(model, schema, arrays["reference_scores"].astype(np.float64),
                           group_table, meta)
+
+
+def load_embedding_source(artifact: ScorerArtifact, encoder_path: str | Path | None,
+                          vocab_path: str | Path | None) -> EmbeddingSource:
+    """Rebuild a replacement scorer's embedding source from the encoder
+    checkpoint and vocabulary it was fit with, and the artifact's group table."""
+    if encoder_path is None or vocab_path is None:
+        raise ValueError("replacement-scheme scorer needs an encoder checkpoint (--model) "
+                         "and a vocabulary (--vocab)")
+    if artifact.group_table is None:
+        raise ValueError("replacement-scheme scorer artifact lacks a group table")
+    vocab = Vocabulary.load(vocab_path)
+    model = load_checkpoint(encoder_path, expected_vocab_sha256=vocab.sha256())
+    strategy = artifact.meta.get("embedding_strategy") or "mean"
+    return EmbeddingSource(model, vocab, artifact.group_table, strategy=strategy)

@@ -24,14 +24,14 @@ from urllib.parse import parse_qs, urlparse
 import numpy as np
 
 from .container import artifact_hash
-from .corpus import GENDERS, ApplicationRecord, Vocabulary
-from .encoder import load_checkpoint
+from .corpus import GENDERS, ApplicationRecord
 from .icd import InvalidCodeError, normalize_code
 from .scoring import (
     EmbeddingSource,
     SchemaError,
     ScorerArtifact,
     assemble_features,
+    load_embedding_source,
     load_scorer,
     psi,
     ridge_predict,
@@ -125,16 +125,7 @@ class ScoringService:
         artifact = load_scorer(scorer_path)
         source = None
         if artifact.schema.scheme == "replacement":
-            if encoder_path is None or vocab_path is None:
-                raise ValueError(
-                    "replacement-scheme scorer needs --encoder and --vocab artifacts"
-                )
-            vocab = Vocabulary.load(vocab_path)
-            model = load_checkpoint(encoder_path, expected_vocab_sha256=vocab.sha256())
-            strategy = artifact.meta.get("embedding_strategy") or "mean"
-            if artifact.group_table is None:
-                raise ValueError("replacement-scheme scorer artifact lacks a group table")
-            source = EmbeddingSource(model, vocab, artifact.group_table, strategy=strategy)
+            source = load_embedding_source(artifact, encoder_path, vocab_path)
         return cls(artifact, artifact_hash(scorer_path), source, log_path)
 
     # -- endpoints ---------------------------------------------------------
@@ -284,24 +275,3 @@ def make_server(service: ScoringService, host: str = "127.0.0.1", port: int = 80
     server = _Server((host, port), _Handler)
     server.service = service  # type: ignore[attr-defined]
     return server
-
-
-def serve(
-    scorer_path: str | Path,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    encoder_path: str | Path | None = None,
-    vocab_path: str | Path | None = None,
-    log_path: str | Path | None = None,
-) -> None:
-    """Run the scoring service until interrupted."""
-    service = ScoringService.from_files(scorer_path, encoder_path, vocab_path, log_path)
-    server = make_server(service, host, port)
-    logger.info("scoring service on %s:%d", *server.server_address)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        service.close()

@@ -6,9 +6,10 @@ each successful subcommand prints.
 
 import json
 
+import numpy as np
 import pytest
 
-from ehrseq import cli
+from ehrseq import cli, container, corpus, embedding, encoder, scoring
 
 
 def run(capsys, *argv):
@@ -224,3 +225,65 @@ class TestPipeline:
         assert code == 0
         assert summary["errors"] == []
         assert summary["cells"][0]["variant"] == "cls"
+
+
+class TestGenderAgeFlag:
+    """``train --no-gender-age`` is stored in the checkpoint and followed later."""
+
+    def test_embed_follows_the_trained_setting(self, pipeline, tmp_path, capsys):
+        ckpt = tmp_path / "no_ga.ckpt"
+        code, _ = run(capsys, "train", "--patients", str(pipeline / "filtered.jsonl"),
+                      "--vocab", str(pipeline / "vocab.tsv"), "--desk-scale", "--d", "16",
+                      "--n-layers", "1", "--epochs", "1", "--max-len", "27",
+                      "--batch-size", "32", "--seed", "0", "--no-gender-age",
+                      "--out", str(ckpt))
+        assert code == 0
+        meta, arrays = container.load_artifact(ckpt, kind="encoder")
+        assert meta["config"]["use_gender_age"] is False
+
+        code, _ = run(capsys, "embed", "--patients", str(pipeline / "filtered.jsonl"),
+                      "--vocab", str(pipeline / "vocab.tsv"), "--model", str(ckpt),
+                      "--strategy", "mean", "--out", str(tmp_path / "emb.tsv"))
+        assert code == 0
+        ids, _, written = embedding.read_vectors(tmp_path / "emb.tsv")
+        vocab = corpus.Vocabulary.load(pipeline / "vocab.tsv")
+        model = encoder.load_checkpoint(ckpt)
+        patients = corpus.ingest_corpus(pipeline / "filtered.jsonl").patients
+        assert ids == [p.patient_id for p in patients]
+
+        def mean_vectors(use_gender_age):
+            rows = []
+            for p in patients:
+                s = corpus.encode_history(p, vocab, H=model.config.H,
+                                          use_gender_age=use_gender_age)
+                hidden, _ = model.forward(s.token_ids[None, : s.length],
+                                          s.attention_mask[None, : s.length])
+                rows.append(hidden.data[0].mean(axis=0))
+            return np.asarray(rows)
+
+        expected = mean_vectors(False)
+        np.testing.assert_allclose(written, expected, rtol=1e-5, atol=1e-6)
+        assert np.abs(written - mean_vectors(True)).max() > 1e-3
+
+        # a checkpoint written before the field existed loads as True
+        del meta["config"]["use_gender_age"]
+        container.save_artifact(tmp_path / "old.ckpt", kind="encoder", meta=meta,
+                                arrays=arrays)
+        assert encoder.load_checkpoint(tmp_path / "old.ckpt").config.use_gender_age is True
+
+
+class TestScoreEvalArtifacts:
+    def test_replacement_scorer_without_group_table_is_an_error(
+            self, pipeline, tmp_path, capsys):
+        schema = scoring.FeatureSchema("replacement", [
+            scoring.FeatureBlock("applicant_embedding", "embedding", ["e0", "e1"], 0)])
+        ridge = scoring.RidgeModel(weights=np.zeros(2), intercept=0.0, lam=1.0,
+                                   mean=np.zeros(2), scale=np.ones(2),
+                                   schema_hash=schema.sha256())
+        scoring.save_scorer(tmp_path / "scorer.bin", ridge, schema, np.zeros(4))
+        code = cli.main(["score-eval", "--scorer", str(tmp_path / "scorer.bin"),
+                         "--insurance", str(pipeline / "insurance.jsonl"),
+                         "--vocab", str(pipeline / "vocab.tsv"),
+                         "--model", str(pipeline / "encoder.ckpt")])
+        assert code == 1
+        assert "lacks a group table" in capsys.readouterr().err
