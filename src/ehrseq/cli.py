@@ -78,12 +78,6 @@ def _load_patients(path: str) -> list[corpus.PatientHistory]:
     return result.patients
 
 
-def _load_model_and_vocab(args) -> tuple[encoder.EncoderModel, corpus.Vocabulary]:
-    vocab = corpus.Vocabulary.load(args.vocab)
-    model = encoder.load_checkpoint(args.model, expected_vocab_sha256=vocab.sha256())
-    return model, vocab
-
-
 def _model_config(args, vocab_size: int) -> encoder.ModelConfig:
     if args.desk_scale:
         cfg = encoder.ModelConfig.desk_scale(vocab_size)
@@ -194,7 +188,7 @@ def cmd_eval_next_code(args) -> dict:
     patients = _load_patients(args.patients)
     thresholds = args.thresholds
     if args.predictor == "model":
-        model, vocab = _load_model_and_vocab(args)
+        model, vocab = encoder.load_with_vocab(args.model, args.vocab)
         predictor = evaluation.ModelNextCodePredictor(model, vocab)
     elif args.predictor == "most-common":
         predictor = evaluation.baseline_most_common(patients)
@@ -210,7 +204,7 @@ def cmd_eval_next_code(args) -> dict:
 def cmd_eval_visits(args) -> dict:
     patients = _load_patients(args.patients)
     if args.scorer == "model":
-        model, vocab = _load_model_and_vocab(args)
+        model, vocab = encoder.load_with_vocab(args.model, args.vocab)
         cat_map = evaluation.load_category_map(args.categories, vocab=vocab)
         scorer = evaluation.model_category_scorer(model, vocab, cat_map)
         factory = lambda train: scorer
@@ -246,7 +240,7 @@ def cmd_ablate(args) -> dict:
 
 def cmd_embed(args) -> dict:
     patients = _load_patients(args.patients)
-    model, vocab = _load_model_and_vocab(args)
+    model, vocab = encoder.load_with_vocab(args.model, args.vocab)
     embs = embedding.patient_embeddings(model, patients, vocab, args.strategy,
                                         events_only=args.events_only)
     rows = [(e.patient_id, f"{p.gender}:{p.age_years}", e.vector)
@@ -257,7 +251,7 @@ def cmd_embed(args) -> dict:
 
 
 def cmd_neighbors(args) -> dict:
-    model, vocab = _load_model_and_vocab(args)
+    model, vocab = encoder.load_with_vocab(args.model, args.vocab)
     neighbors = embedding.nearest_tokens(model, vocab, args.query, top_n=args.top_n,
                                          restrict=args.restrict)
     return {"command": "neighbors", "query": args.query,
@@ -265,7 +259,7 @@ def cmd_neighbors(args) -> dict:
 
 
 def cmd_risk_curve(args) -> dict:
-    model, vocab = _load_model_and_vocab(args)
+    model, vocab = encoder.load_with_vocab(args.model, args.vocab)
     # one dotless entry is a chapter prefix; anything else is a code list
     if len(args.group) == 1 and "." not in args.group[0]:
         group = args.group[0]
@@ -283,7 +277,7 @@ def cmd_risk_curve(args) -> dict:
 
 
 def cmd_export_vectors(args) -> dict:
-    model, vocab = _load_model_and_vocab(args)
+    model, vocab = encoder.load_with_vocab(args.model, args.vocab)
     table = model.params["tok_emb"].data
     rows = []
     for tid in range(len(vocab)):
@@ -314,7 +308,7 @@ def _load_insurance(path: str) -> list[corpus.ApplicationRecord]:
 
 
 def _embedding_source_from_args(args) -> scoring.EmbeddingSource:
-    model, vocab = _load_model_and_vocab(args)
+    model, vocab = encoder.load_with_vocab(args.model, args.vocab)
     patients = _load_patients(args.patients)
     table = embedding.average_group_embedding(model, patients, vocab, args.strategy)
     return scoring.EmbeddingSource(model, vocab, table, strategy=args.strategy)

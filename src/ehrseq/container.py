@@ -9,12 +9,19 @@ Header shape::
     {"format_version": 1, "kind": "encoder" | ...,
      "meta": {...caller metadata...},
      "arrays": [{"name": str, "shape": [int, ...]}, ...]}
+
+Provenance: a derived artifact records in its meta the ``<what>_sha256`` of
+each artifact it was built from (a checkpoint its vocabulary; a replacement
+scorer the encoder and vocabulary of its group table). :func:`check_pin`
+compares a recorded value with the offered one where the two are joined.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import secrets
 import struct
 from pathlib import Path
 
@@ -28,7 +35,16 @@ class ContainerError(ValueError):
     """Malformed, truncated, or mismatched artifact file."""
 
 
+def check_pin(what: str, recorded: str, offered: str) -> None:
+    """Refuse a ``what`` other than the one a derived artifact recorded ("" if none)."""
+    if recorded != offered:
+        raise ContainerError(f"{what} mismatch: built with {recorded[:12] or '(none recorded)'}, "
+                             f"offered {offered[:12]}; refit with `ehrseq score-train`")
+
+
 def save_artifact(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+    """Write an artifact atomically: a failed write leaves any old file as it was."""
+    path = Path(path)
     header = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -36,14 +52,22 @@ def save_artifact(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for arr in arrays.values():
-            raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for arr in arrays.values():
+                raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_artifact(path: str | Path, kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:

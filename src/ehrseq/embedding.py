@@ -203,6 +203,8 @@ class GroupTable:
     by_gender: np.ndarray  # (2, dim)
     gender_counts: np.ndarray  # (2,)
     global_mean: np.ndarray  # (dim,)
+    encoder_sha256: str = ""  # provenance: the encoder and vocabulary it was averaged with
+    vocab_sha256: str = ""
 
     def lookup(self, gender: str, age_years: int) -> np.ndarray:
         g = GENDERS.index(gender)
@@ -282,6 +284,8 @@ def average_group_embedding(
         by_gender=safe_div(by_gender, gender_counts),
         gender_counts=gender_counts,
         global_mean=total.astype(np.float32),
+        encoder_sha256=model.params_sha256(),
+        vocab_sha256=vocab.sha256(),
     )
 
 

@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import tensor as T
-from .container import ContainerError, load_artifact, save_artifact
+from .container import ContainerError, check_pin, load_artifact, save_artifact
 from .corpus import ICD_OFFSET, MASK_ID, EncodedSample, PatientHistory, Vocabulary, encode_history
 from .optim import AdamW, clip_global_norm
 from .tensor import Tape, Tensor, backward
@@ -419,11 +419,8 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
 def load_checkpoint(path: str | Path, expected_vocab_sha256: str | None = None) -> EncoderModel:
     """Load a checkpoint; refuses a vocabulary-hash mismatch when a hash is given."""
     meta, arrays = load_artifact(path, kind="encoder")
-    if expected_vocab_sha256 is not None and meta.get("vocab_sha256") != expected_vocab_sha256:
-        raise ContainerError(
-            "checkpoint was trained with a different vocabulary "
-            f"(hash {meta.get('vocab_sha256', '?')[:12]}..., expected {expected_vocab_sha256[:12]}...)"
-        )
+    if expected_vocab_sha256 is not None:
+        check_pin("vocabulary", meta.get("vocab_sha256", ""), expected_vocab_sha256)
     config = ModelConfig(**meta["config"])
     shapes = _param_shapes(config)
     if set(arrays) != set(shapes):
@@ -438,3 +435,9 @@ def load_checkpoint(path: str | Path, expected_vocab_sha256: str | None = None) 
                          epochs_completed=int(meta.get("epochs_completed", 0)))
     model.loss_history = list(meta.get("loss_history", []))
     return model
+
+
+def load_with_vocab(path: str | Path, vocab_path: str | Path) -> tuple[EncoderModel, Vocabulary]:
+    """Load a vocabulary, then the checkpoint at ``path``, which must have been trained on it."""
+    vocab = Vocabulary.load(vocab_path)
+    return load_checkpoint(path, expected_vocab_sha256=vocab.sha256()), vocab

@@ -20,7 +20,7 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator, Protocol, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -154,16 +154,6 @@ def load_category_map(path: str | Path | None = None, vocab: Vocabulary | None =
 # ---------------------------------------------------------------------------
 
 
-class BatchPredictor(Protocol):
-    def predict_batch(self, prefixes: Sequence[PatientHistory]) -> list[str]: ...
-
-
-def _predict_all(predictor, prefixes: Sequence[PatientHistory]) -> list[str]:
-    if hasattr(predictor, "predict_batch"):
-        return predictor.predict_batch(prefixes)
-    return [predictor(p) for p in prefixes]
-
-
 class MostCommonPredictor:
     """Constant predictor of the modal training code (ties: lexicographic)."""
 
@@ -241,8 +231,8 @@ class OracleNextCodePredictor:
 def next_code_accuracy(predictor, patients: Sequence[PatientHistory],
                        thresholds: Sequence[int]) -> EvalReport:
     """Exact-match accuracy of the code at position th (1-indexed), predicted
-    from the th-1 preceding events; cells with no eligible patients are
-    omitted from the report."""
+    from the th-1 preceding events by ``predictor.predict_batch``; cells with
+    no eligible patients are omitted from the report."""
     report = EvalReport("next_code_accuracy")
     for th in thresholds:
         if th < 2:
@@ -252,7 +242,7 @@ def next_code_accuracy(predictor, patients: Sequence[PatientHistory],
             continue
         prefixes = [replace(p, events=p.events[: th - 1]) for p in eligible]
         truths = [p.events[th - 1].code for p in eligible]
-        preds = _predict_all(predictor, prefixes)
+        preds = predictor.predict_batch(prefixes)
         acc = float(np.mean([pred == truth for pred, truth in zip(preds, truths)]))
         report.cells.append(EvalCell({"th": int(th)}, acc, None, len(eligible)))
     return report

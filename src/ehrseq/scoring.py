@@ -20,7 +20,7 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -28,10 +28,10 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import rankdata
 
-from .container import load_artifact, save_artifact
+from .container import check_pin, load_artifact, save_artifact
 from .corpus import GENDERS, ApplicationRecord, Event, PatientHistory, Vocabulary
 from .embedding import GroupTable, embedding_dim, patient_embeddings
-from .encoder import EncoderModel, load_checkpoint
+from .encoder import EncoderModel, load_with_vocab
 
 MISSING = "__missing__"
 LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
@@ -91,7 +91,7 @@ class FeatureSchema:
 
 
 class EmbeddingSource:
-    """Encoder + vocabulary + group-average table for applicant embeddings.
+    """Encoder + vocabulary + the group-average table built from both.
 
     Embeddings of identical (gender, age, anamnesis) keys are cached; with
     tens of thousands of applications drawn from a few thousand patients the
@@ -100,10 +100,10 @@ class EmbeddingSource:
 
     def __init__(self, model: EncoderModel, vocab: Vocabulary, group_table: GroupTable,
                  strategy: str = "mean"):
-        if group_table.strategy != strategy:
-            raise ValueError(
-                f"group table was built with strategy {group_table.strategy!r}, not {strategy!r}"
-            )
+        check_pin("pooling strategy", group_table.strategy, strategy)
+        check_pin("vocabulary", group_table.vocab_sha256, vocab.sha256())
+        self.encoder_sha256 = model.params_sha256()
+        check_pin("encoder", group_table.encoder_sha256, self.encoder_sha256)
         self.model = model
         self.vocab = vocab
         self.group_table = group_table
@@ -434,6 +434,8 @@ def save_scorer(
         "intercept": model.intercept,
         "training_period": model.training_period,
         "embedding_strategy": group_table.strategy if group_table else None,
+        "encoder_sha256": group_table.encoder_sha256 if group_table else None,
+        "vocab_sha256": group_table.vocab_sha256 if group_table else None,
     }
     if extra_meta:
         meta.update(extra_meta)
@@ -462,7 +464,9 @@ def load_scorer(path: str | Path) -> ScorerArtifact:
     )
     group_table = None
     if "group_global_mean" in arrays:
-        group_table = GroupTable.from_arrays(meta.get("embedding_strategy") or "mean", arrays)
+        group_table = replace(GroupTable.from_arrays(meta.get("embedding_strategy") or "mean", arrays),
+                              encoder_sha256=meta.get("encoder_sha256", ""),
+                              vocab_sha256=meta.get("vocab_sha256", ""))
     return ScorerArtifact(model, schema, arrays["reference_scores"].astype(np.float64),
                           group_table, meta)
 
@@ -476,7 +480,5 @@ def load_embedding_source(artifact: ScorerArtifact, encoder_path: str | Path | N
                          "and a vocabulary (--vocab)")
     if artifact.group_table is None:
         raise ValueError("replacement-scheme scorer artifact lacks a group table")
-    vocab = Vocabulary.load(vocab_path)
-    model = load_checkpoint(encoder_path, expected_vocab_sha256=vocab.sha256())
-    strategy = artifact.meta.get("embedding_strategy") or "mean"
-    return EmbeddingSource(model, vocab, artifact.group_table, strategy=strategy)
+    model, vocab = load_with_vocab(encoder_path, vocab_path)
+    return EmbeddingSource(model, vocab, artifact.group_table, artifact.group_table.strategy)

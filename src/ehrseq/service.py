@@ -39,6 +39,8 @@ from .scoring import (
 
 logger = logging.getLogger(__name__)
 
+MAX_BODY_BYTES = 1 << 20  # larger /score bodies get 413 without being read
+
 
 class ServiceError(Exception):
     """Request-level failure carrying the HTTP status to report."""
@@ -135,10 +137,10 @@ class ScoringService:
             "status": "ok",
             "scheme": self.artifact.schema.scheme,
             "scorer_sha256": self.artifact_sha256,
-            "schema_sha256": self.artifact.schema.sha256(),
+            "schema_sha256": self.artifact.model.schema_hash,
         }
         if self.embedding_source is not None:
-            out["encoder_sha256"] = self.embedding_source.model.params_sha256()
+            out["encoder_sha256"] = self.embedding_source.encoder_sha256
         return out
 
     def score_payload(self, payload) -> dict:
@@ -218,6 +220,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(data)
 
@@ -243,26 +247,38 @@ class _Handler(BaseHTTPRequestHandler):
             logger.exception("GET %s failed", self.path)
             self._send_json(500, {"error": str(exc)})
 
-    def do_POST(self):
-        url = urlparse(self.path)
-        if url.path != "/score":
-            self._send_json(404, {"error": f"unknown path {url.path}"})
-            return
+    def _body_length(self) -> int:
         try:
             length = int(self.headers.get("Content-Length", 0))
-            if length <= 0:
-                raise ServiceError(400, "body: empty request body")
-            raw = self.rfile.read(length)
+        except ValueError:
+            raise ServiceError(400, "Content-Length: expected an integer") from None
+        if length <= 0:
+            raise ServiceError(400, "body: empty request body")
+        if length > MAX_BODY_BYTES:
+            raise ServiceError(413, f"body: {length} bytes exceeds the limit of {MAX_BODY_BYTES}")
+        return length
+
+    def do_POST(self):
+        url = urlparse(self.path)
+        body_read = False
+        try:
+            if url.path != "/score":
+                raise ServiceError(404, f"unknown path {url.path}")
+            raw = self.rfile.read(self._body_length())
+            body_read = True
             try:
                 payload = json.loads(raw)
             except json.JSONDecodeError as exc:
                 raise ServiceError(400, f"body: invalid JSON ({exc.msg})") from exc
-            self._send_json(200, self.service.score_payload(payload))
+            status, body = 200, self.service.score_payload(payload)
         except ServiceError as exc:
-            self._send_json(exc.status, {"error": exc.message})
+            status, body = exc.status, {"error": exc.message}
         except Exception as exc:
             logger.exception("POST /score failed")
-            self._send_json(500, {"error": str(exc)})
+            status, body = 500, {"error": str(exc)}
+        if not body_read:
+            self.close_connection = True  # else the unread body is parsed as the next request
+        self._send_json(status, body)
 
 
 class _Server(ThreadingHTTPServer):

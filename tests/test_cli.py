@@ -5,11 +5,17 @@ each successful subcommand prints.
 """
 
 import json
+import shlex
+import socketserver
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ehrseq import cli, container, corpus, embedding, encoder, scoring
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(capsys, *argv):
@@ -287,3 +293,52 @@ class TestScoreEvalArtifacts:
                          "--model", str(pipeline / "encoder.ckpt")])
         assert code == 1
         assert "lacks a group table" in capsys.readouterr().err
+
+
+def readme_cli_commands() -> list[list[str]]:
+    """Argument lists of the ``ehrseq`` lines in the README's ``## CLI`` code block."""
+    section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = section.split("```", 2)[1].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("ehrseq ")]
+
+
+class TestReadmeCli:
+    def test_every_readme_command_parses(self):
+        commands = readme_cli_commands()
+        assert len(commands) == 9
+        parser, _ = cli.build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: ehrseq {shlex.join(argv)}")
+
+
+class TestEncoderPin:
+    """A replacement scorer refuses an encoder it was not fit with."""
+
+    def test_serve_and_score_eval_refuse_another_encoder(self, pipeline, tmp_path, capsys,
+                                                           monkeypatch):
+        code, _ = run(capsys, "score-train", "--insurance", str(pipeline / "insurance.jsonl"),
+                      "--scheme", "replacement", "--patients", str(pipeline / "filtered.jsonl"),
+                      "--vocab", str(pipeline / "vocab.tsv"),
+                      "--model", str(pipeline / "encoder.ckpt"), "--val-months", "2",
+                      "--out", str(tmp_path / "scorer.bin"))
+        assert code == 0
+        fitted = encoder.load_checkpoint(pipeline / "encoder.ckpt")
+        other = encoder.EncoderModel.build(replace(fitted.config, seed=fitted.config.seed + 1),
+                                           vocab_sha256=fitted.vocab_sha256)
+        encoder.save_checkpoint(other, tmp_path / "other.ckpt")
+
+        def stop_at_once(self, poll_interval=0.5):  # a server that starts must not block
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(socketserver.BaseServer, "serve_forever", stop_at_once)
+        artifacts = ["--scorer", str(tmp_path / "scorer.bin"),
+                     "--vocab", str(pipeline / "vocab.tsv"), "--model", str(tmp_path / "other.ckpt")]
+        for argv in (["serve", "--port", "0", *artifacts],
+                     ["score-eval", "--insurance", str(pipeline / "insurance.jsonl"), *artifacts]):
+            assert cli.main(argv) == 1, argv[0]
+            err = capsys.readouterr().err
+            assert "error: encoder" in err, err

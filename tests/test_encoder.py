@@ -375,6 +375,23 @@ class TestContainer:
         with pytest.raises(ContainerError, match="kind"):
             load_artifact(path, kind="beta")
 
+    def test_failed_write_leaves_old_file_untouched(self, tmp_path):
+        path = tmp_path / "art.bin"
+        save_artifact(path, "t", {"v": 1}, {"a": np.zeros(2, dtype=np.float32)})
+        before = path.read_bytes()
+
+        class Unconvertible:  # fails after the header and the first array are written
+            shape = (3,)
+
+            def __array__(self, *args, **kwargs):
+                raise RuntimeError("write interrupted")
+
+        with pytest.raises(RuntimeError, match="write interrupted"):
+            save_artifact(path, "t", {"v": 2}, {"a": np.ones(2, dtype=np.float32),
+                                                "b": Unconvertible()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["art.bin"]
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "art.bin"
         save_artifact(path, "t", {}, {"a": np.zeros(2, dtype=np.float32)})

@@ -5,10 +5,13 @@ against hand-counted pair statistics, and PSI against its defining
 identities (zero on itself, symmetry under shared edges).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ehrseq.container import ContainerError
 from ehrseq.corpus import ApplicationRecord, build_vocabulary, filter_corpus
 from ehrseq.embedding import average_group_embedding, patient_embeddings
 from ehrseq.encoder import EncoderModel, ModelConfig
@@ -198,6 +201,16 @@ class TestEmbeddingSource:
         patients, vocab, model, table, source, codes = embed_setup
         with pytest.raises(ValueError, match="strategy"):
             EmbeddingSource(model, vocab, table, strategy="max")
+
+    def test_table_of_another_encoder_or_vocabulary_rejected(self, embed_setup):
+        patients, vocab, model, table, source, codes = embed_setup
+        assert source.encoder_sha256 == table.encoder_sha256 == model.params_sha256()
+        other = EncoderModel.build(replace(model.config, seed=model.config.seed + 1),
+                                   vocab_sha256=vocab.sha256())
+        with pytest.raises(ContainerError, match="encoder"):
+            EmbeddingSource(other, vocab, table, strategy="mean")
+        with pytest.raises(ContainerError, match="vocabulary"):
+            EmbeddingSource(model, vocab, replace(table, vocab_sha256="0" * 64), strategy="mean")
 
     def test_replacement_features(self, embed_setup):
         patients, vocab, model, table, source, codes = embed_setup

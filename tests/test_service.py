@@ -4,21 +4,25 @@ One module-scoped server per scheme (base and replacement) runs on an
 ephemeral port; requests go through the real HTTP stack.
 """
 
+import http.client
 import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
+from urllib.parse import urlparse
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 import requests
 
-from ehrseq.container import artifact_hash
+from ehrseq.container import ContainerError, artifact_hash, load_artifact, save_artifact
 from ehrseq.corpus import build_vocabulary, filter_corpus
 from ehrseq.embedding import average_group_embedding
 from ehrseq.encoder import EncoderModel, ModelConfig, save_checkpoint
 from ehrseq.scoring import (
     EmbeddingSource,
+    FeatureSchema,
     assemble_features,
     derive_schema,
     ridge_fit,
@@ -26,6 +30,7 @@ from ehrseq.scoring import (
     save_scorer,
 )
 from ehrseq.service import (
+    MAX_BODY_BYTES,
     QueryLogRecord,
     ScoringService,
     make_server,
@@ -142,6 +147,67 @@ class TestScoreEndpoint:
         a = requests.post(url + "/score", json=payload).json()["score"]
         b = requests.post(url + "/score", json=payload).json()["score"]
         assert a == b
+
+
+def raw_post(url, path, headers, body):
+    """POST with hand-set headers; returns the status, Connection header and JSON body."""
+    parts = urlparse(url)
+    conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+    try:
+        conn.putrequest("POST", path)
+        for name, value in headers.items():
+            conn.putheader(name, value)
+        conn.endheaders(body)
+        resp = conn.getresponse()
+        return resp.status, resp.getheader("Connection"), json.loads(resp.read())
+    finally:
+        conn.close()
+
+
+class TestRequestBody:
+    """A reply sent without reading the body closes the connection, so the
+    unread bytes are never parsed as the next keep-alive request."""
+
+    def test_non_integer_content_length_is_400(self, base_stack):
+        url, *_ = base_stack
+        status, connection, body = raw_post(url, "/score", {"Content-Length": "ten"}, b"{}")
+        assert status == 400 and "Content-Length" in body["error"]
+        assert connection == "close"
+
+    def test_oversized_body_is_413_without_reading_it(self, base_stack):
+        url, *_ = base_stack
+        # only one byte follows: a server that tried to read the body would time out
+        status, connection, body = raw_post(
+            url, "/score", {"Content-Length": str(MAX_BODY_BYTES + 1)}, b"{")
+        assert status == 413
+        assert connection == "close"
+
+    def test_unknown_path_closes_the_connection(self, base_stack):
+        url, *_ = base_stack
+        smuggled = b"GET /health HTTP/1.1\r\nHost: x\r\n\r\n"
+        status, connection, body = raw_post(
+            url, "/scores", {"Content-Length": str(len(smuggled))}, smuggled)
+        assert status == 404
+        assert connection == "close"
+
+    def test_read_body_keeps_the_connection_alive(self, base_stack):
+        url, service, schema, model, held, *_ = base_stack
+        data = json.dumps(as_payload(held[3])).encode("utf-8")
+        parts = urlparse(url)
+        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+        try:
+            for _ in range(2):
+                conn.request("POST", "/score", body=data,
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                resp.read()
+                assert resp.status == 200 and resp.getheader("Connection") is None
+            conn.request("POST", "/score", body=b"{oops")
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 400 and resp.getheader("Connection") is None
+        finally:
+            conn.close()
 
 
 class TestHealthAndPsi:
@@ -292,6 +358,19 @@ class TestReplacementServing:
         assert body["scheme"] == "replacement"
         assert body["encoder_sha256"] == service.embedding_source.model.params_sha256()
 
+    def test_health_computes_no_hash(self, replacement_stack, monkeypatch):
+        url, service, schema, *_ = replacement_stack
+
+        def no_hash(self):
+            raise AssertionError("hash computed after load")
+
+        monkeypatch.setattr(EncoderModel, "params_sha256", no_hash)
+        monkeypatch.setattr(FeatureSchema, "sha256", no_hash)
+        body = service.health()
+        assert body["encoder_sha256"] == service.embedding_source.encoder_sha256
+        monkeypatch.undo()
+        assert body["schema_sha256"] == schema.sha256()
+
     def test_empty_anamnesis_uses_group_fallback(self, replacement_stack):
         url, service, schema, model, records, source, scorer_path = replacement_stack
         payload = {"app_id": "empty-1", "gender": "F", "age": 44, "anamnesis": [],
@@ -320,3 +399,30 @@ class TestParseScoreRequest:
         from ehrseq.service import ServiceError
         with pytest.raises(ServiceError):
             parse_score_request({"app_id": "a", "gender": "M", "age": True})
+
+
+class TestEncoderPin:
+    """A replacement scorer is served only with the encoder and vocabulary it was fit with."""
+
+    def test_other_encoder_is_refused(self, replacement_stack, tmp_path):
+        *_, source, scorer_path = replacement_stack
+        config = source.model.config
+        other = EncoderModel.build(replace(config, seed=config.seed + 1),
+                                   vocab_sha256=source.vocab.sha256())
+        save_checkpoint(other, tmp_path / "other.ckpt")
+        source.vocab.save(tmp_path / "vocab.tsv")
+        with pytest.raises(ContainerError, match="encoder"):
+            ScoringService.from_files(scorer_path, encoder_path=tmp_path / "other.ckpt",
+                                      vocab_path=tmp_path / "vocab.tsv")
+
+    def test_scorer_without_provenance_is_refused(self, replacement_stack, tmp_path):
+        *_, source, scorer_path = replacement_stack
+        meta, arrays = load_artifact(scorer_path, kind="scorer")
+        meta.pop("encoder_sha256", None)
+        meta.pop("vocab_sha256", None)
+        save_artifact(tmp_path / "old.bin", kind="scorer", meta=meta, arrays=arrays)
+        save_checkpoint(source.model, tmp_path / "encoder.ckpt")
+        source.vocab.save(tmp_path / "vocab.tsv")
+        with pytest.raises(ContainerError, match="none recorded"):
+            ScoringService.from_files(tmp_path / "old.bin", encoder_path=tmp_path / "encoder.ckpt",
+                                      vocab_path=tmp_path / "vocab.tsv")
