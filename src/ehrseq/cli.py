@@ -184,11 +184,18 @@ def cmd_train(args) -> dict:
     }
 
 
+def _load_model_for(args, option: str) -> tuple[encoder.EncoderModel, corpus.Vocabulary]:
+    """Load ``--model`` and ``--vocab``; ``option`` needs both, though they are optional flags."""
+    if not (args.model and args.vocab):
+        raise ValueError(f"{option} needs --model and --vocab")
+    return encoder.load_with_vocab(args.model, args.vocab)
+
+
 def cmd_eval_next_code(args) -> dict:
     patients = _load_patients(args.patients)
     thresholds = args.thresholds
     if args.predictor == "model":
-        model, vocab = encoder.load_with_vocab(args.model, args.vocab)
+        model, vocab = _load_model_for(args, "--predictor model")
         predictor = evaluation.ModelNextCodePredictor(model, vocab)
     elif args.predictor == "most-common":
         predictor = evaluation.baseline_most_common(patients)
@@ -204,7 +211,7 @@ def cmd_eval_next_code(args) -> dict:
 def cmd_eval_visits(args) -> dict:
     patients = _load_patients(args.patients)
     if args.scorer == "model":
-        model, vocab = encoder.load_with_vocab(args.model, args.vocab)
+        model, vocab = _load_model_for(args, "--scorer model")
         cat_map = evaluation.load_category_map(args.categories, vocab=vocab)
         scorer = evaluation.model_category_scorer(model, vocab, cat_map)
         factory = lambda train: scorer

@@ -5,6 +5,10 @@ encoder checkpoint plus vocabulary), scores one application per request and
 appends a query-log record to a JSONL file before responding. Loaded
 artifacts are immutable, so concurrent requests need no locking beyond the
 log writer, which serializes appends and flushes in order.
+
+Each reply (status line, headers and body) leaves in one send on a socket with
+TCP_NODELAY, so a keep-alive client waits for the handler, not for its own
+delayed ACK. /psi reads the latest MAX_PSI_WINDOW scores, kept in a ring buffer.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import json
 import logging
 import threading
 import time
+from collections import deque
 from dataclasses import asdict, dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
@@ -40,6 +45,7 @@ from .scoring import (
 logger = logging.getLogger(__name__)
 
 MAX_BODY_BYTES = 1 << 20  # larger /score bodies get 413 without being read
+MAX_PSI_WINDOW = 10_000  # /psi covers at most this many of the latest scores
 
 
 class ServiceError(Exception):
@@ -113,7 +119,7 @@ class ScoringService:
         self.artifact_sha256 = artifact_sha256
         self.embedding_source = embedding_source
         self._log_lock = threading.Lock()
-        self._logged_scores: list[float] = []
+        self._logged_scores: deque[float] = deque(maxlen=MAX_PSI_WINDOW)
         self._log_file = open(log_path, "a", encoding="utf-8") if log_path else None
 
     @classmethod
@@ -166,9 +172,14 @@ class ScoringService:
         return {"app_id": record.app_id, "score": score, "model_hash": self.artifact_sha256}
 
     def psi_over_window(self, window: int | None = None) -> dict:
-        """PSI of the last ``window`` logged scores against the reference sample."""
+        """PSI of the last ``window`` logged scores against the reference sample.
+
+        Only the latest MAX_PSI_WINDOW scores are kept; no window means all of them.
+        """
         if window is not None and window < 1:
             raise ServiceError(400, "window: expected a positive integer")
+        if window is not None and window > MAX_PSI_WINDOW:
+            raise ServiceError(400, f"window: {window} exceeds the limit of {MAX_PSI_WINDOW}")
         with self._log_lock:
             scores = list(self._logged_scores)
         if window is not None:
@@ -207,6 +218,15 @@ def read_query_log(path: str | Path) -> list[QueryLogRecord]:
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    # buffer each reply (handle_one_request flushes it) and set TCP_NODELAY: headers and
+    # body leave in one send, not held for the client's delayed ACK of the headers
+    wbufsize = -1
+    disable_nagle_algorithm = True
+
+    def handle_expect_100(self):  # the client sends the body only once it reads this 100
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     @property
     def service(self) -> ScoringService:

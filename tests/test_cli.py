@@ -295,6 +295,22 @@ class TestScoreEvalArtifacts:
         assert "lacks a group table" in capsys.readouterr().err
 
 
+class TestModelFlagsRequired:
+    """The model predictor and scorer need --model and --vocab; the parser leaves them optional."""
+
+    def test_missing_model_or_vocab_is_a_usage_error(self, pipeline, capsys):
+        patients = ["--patients", str(pipeline / "filtered.jsonl")]
+        model = ["--model", str(pipeline / "encoder.ckpt")]
+        vocab = ["--vocab", str(pipeline / "vocab.tsv")]
+        for command, option in (("eval-next-code", "--predictor model"),
+                                ("eval-visits", "--scorer model")):
+            for given in (model, vocab):
+                assert cli.main([command, *patients, *given]) == 1, (command, given)
+                err = capsys.readouterr().err
+                assert f"error: {option} needs --model and --vocab" in err
+                assert "usage:" in err
+
+
 def readme_cli_commands() -> list[list[str]]:
     """Argument lists of the ``ehrseq`` lines in the README's ``## CLI`` code block."""
     section = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]

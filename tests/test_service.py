@@ -6,7 +6,10 @@ ephemeral port; requests go through the real HTTP stack.
 
 import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from urllib.parse import urlparse
@@ -31,8 +34,10 @@ from ehrseq.scoring import (
 )
 from ehrseq.service import (
     MAX_BODY_BYTES,
+    MAX_PSI_WINDOW,
     QueryLogRecord,
     ScoringService,
+    ServiceError,
     make_server,
     parse_score_request,
     read_query_log,
@@ -210,6 +215,58 @@ class TestRequestBody:
             conn.close()
 
 
+def round_trip_ms(conn, method, path, body=None):
+    t0 = time.perf_counter()
+    conn.request(method, path, body=body)
+    resp = conn.getresponse()
+    resp.read()
+    return resp.status, (time.perf_counter() - t0) * 1000.0
+
+
+class TestKeepAlive:
+    """Each reply leaves in one send, so a keep-alive client waits for the
+    handler, not for its own delayed ACK of the headers (about 40 ms)."""
+
+    def test_sequential_round_trips_on_one_connection_are_fast(self, base_stack):
+        url, service, schema, model, held, *_ = base_stack
+        data = json.dumps(as_payload(held[4])).encode("utf-8")
+        parts = urlparse(url)
+        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=10)
+        try:
+            for method, path, body in (("POST", "/score", data), ("GET", "/health", None)):
+                results = [round_trip_ms(conn, method, path, body) for _ in range(20)]
+                assert all(status == 200 for status, _ in results), path
+                median = statistics.median(ms for _, ms in results)
+                assert median < 10.0, f"{method} {path}: median round trip {median:.1f} ms"
+        finally:
+            conn.close()
+
+    def test_connection_close_reply_still_closes(self, base_stack):
+        url, *_ = base_stack
+        too_long = str(MAX_BODY_BYTES + 1)
+        status, connection, _ = raw_post(url, "/score", {"Content-Length": too_long}, b"")
+        assert status == 413 and connection == "close"
+        parts = urlparse(url)
+        with socket.create_connection((parts.hostname, parts.port), timeout=10) as sock:
+            sock.sendall(b"POST /score HTTP/1.1\r\nHost: x\r\nContent-Length: %s\r\n\r\n"
+                         % too_long.encode("ascii"))
+            reply = b""
+            while chunk := sock.recv(4096):  # times out unless the server closes
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 413")
+
+    def test_interim_100_is_sent_before_the_body(self, base_stack):
+        url, service, schema, model, held, *_ = base_stack
+        data = json.dumps(as_payload(held[4])).encode("utf-8")
+        parts = urlparse(url)
+        with socket.create_connection((parts.hostname, parts.port), timeout=5) as sock:
+            sock.sendall(b"POST /score HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+                         b"Content-Length: %d\r\n\r\n" % len(data))
+            assert sock.recv(4096) == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(data)
+            assert sock.recv(4096).startswith(b"HTTP/1.1 200")
+
+
 class TestHealthAndPsi:
     def test_health_reports_artifact_hashes(self, base_stack):
         url, service, schema, model, held, log_path, scorer_path = base_stack
@@ -259,6 +316,30 @@ class TestHealthAndPsi:
             assert err.value.status == 400
         finally:
             service.close()
+
+
+class TestPsiWindowBound:
+    def test_only_the_latest_scores_are_kept(self, base_stack):
+        url, service, schema, model, held, log_path, scorer_path = base_stack
+        svc = ScoringService.from_files(scorer_path)
+        try:
+            for i in range(MAX_PSI_WINDOW + 5):
+                svc._append_log(QueryLogRecord(timestamp="", app_id=str(i), payload_sha256="",
+                                               score=float(i), model_hash="", latency_ms=0.0))
+            assert list(svc._logged_scores) == [float(i) for i in range(5, MAX_PSI_WINDOW + 5)]
+            assert svc.psi_over_window()["window_size"] == MAX_PSI_WINDOW
+            assert svc.psi_over_window(MAX_PSI_WINDOW)["window_size"] == MAX_PSI_WINDOW
+            with pytest.raises(ServiceError) as err:
+                svc.psi_over_window(MAX_PSI_WINDOW + 1)
+            assert err.value.status == 400 and str(MAX_PSI_WINDOW) in err.value.message
+        finally:
+            svc.close()
+
+    def test_window_over_the_limit_is_400(self, base_stack):
+        url, *_ = base_stack
+        resp = requests.get(url + "/psi", params={"window": MAX_PSI_WINDOW + 1})
+        assert resp.status_code == 400
+        assert str(MAX_PSI_WINDOW) in resp.json()["error"]
 
 
 class TestQueryLog:
@@ -382,6 +463,47 @@ class TestReplacementServing:
         url, service, schema, model, records, source, scorer_path = replacement_stack
         with pytest.raises(ValueError, match="encoder"):
             ScoringService.from_files(scorer_path)
+
+
+class TestReplacementConcurrency:
+    """A fresh replacement service, so every key starts as a cache miss."""
+
+    def test_cold_cache_with_duplicate_keys(self, replacement_stack, tmp_path):
+        url, service, schema, model, records, source, scorer_path = replacement_stack
+        distinct, keys = [], set()
+        for rec in records:
+            key = (rec.gender, rec.age_years, tuple(sorted(rec.anamnesis)))
+            if rec.anamnesis and key not in keys and len(distinct) < 25:
+                keys.add(key)
+                distinct.append(rec)
+        assert len(distinct) == 25
+        X, _ = assemble_features(distinct, "replacement", schema=schema, embedding_source=source)
+        offline = ridge_predict(model, X)
+        # the copies of a key are sent back to back, so their cache misses overlap
+        order = [i for i in range(len(distinct)) for _ in range(4)]
+        root, log_path = scorer_path.parent, tmp_path / "queries.jsonl"
+        fresh = ScoringService.from_files(scorer_path, encoder_path=root / "encoder.ckpt",
+                                          vocab_path=root / "vocab.tsv", log_path=log_path)
+        assert not fresh.embedding_source._cache
+        server = make_server(fresh, port=0)
+        start(server)
+        fresh_url = "http://127.0.0.1:%d" % server.server_address[1]
+        try:
+            def hit(i):
+                r = requests.post(fresh_url + "/score", json=as_payload(distinct[i]))
+                return i, r.status_code, r.json().get("score")
+
+            with ThreadPoolExecutor(max_workers=16) as pool:
+                results = list(pool.map(hit, order))
+        finally:
+            server.shutdown()
+            server.server_close()
+            fresh.close()
+        assert all(status == 200 for _, status, _ in results)
+        for i, _, score in results:
+            assert abs(score - offline[i]) <= 1e-6
+        assert len(read_query_log(log_path)) == len(order) == 100
+        assert len(fresh.embedding_source._cache) == 25
 
 
 class TestParseScoreRequest:
