@@ -102,7 +102,7 @@ def embed_batch(
         samples = [encode_history(p, vocab, H=cfg.H, use_gender_age=cfg.use_gender_age)
                    for p in chunk]
         ids, attn = stack_samples(samples)
-        hidden, _ = model.forward(ids, attn)
+        hidden, _ = model.forward(ids, attn, decode=False)
         for s in poolings:
             out[s][start : start + len(chunk)] = _pool_batch(hidden.data, attn, s, events_only)
     return out

@@ -227,8 +227,10 @@ class EncoderModel:
         attention_mask: np.ndarray,
         train: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> tuple[Tensor, Tensor]:
-        """Contextual vectors (B,L,d) and decoder logits (B,L,|V|).
+        decode: bool = True,
+    ) -> tuple[Tensor, Tensor | None]:
+        """Contextual vectors (B,L,d) and decoder logits (B,L,|V|), or None for
+        the logits when ``decode`` is False (embedding paths discard them).
 
         PAD keys/values receive -1e9 before the attention softmax, so their
         weight underflows to exactly zero and trailing PAD never changes the
@@ -275,6 +277,8 @@ class EncoderModel:
             ffn_out = T.dropout(ffn_out, drop, train, rng)
             h = T.layer_norm(T.add(h, ffn_out), p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
 
+        if not decode:
+            return h, None
         logits = T.add(T.matmul(h, p["dec_w"]), p["dec_b"])
         return h, logits
 

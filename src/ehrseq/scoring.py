@@ -286,9 +286,14 @@ def ridge_fit(X: np.ndarray, y: np.ndarray, lam: float,
                       schema_hash=schema_hash, training_period=training_period)
 
 
-def ridge_predict(model: RidgeModel, X: np.ndarray, schema: FeatureSchema | None = None) -> np.ndarray:
-    if schema is not None and model.schema_hash and schema.sha256() != model.schema_hash:
+def check_schema(model: RidgeModel, schema: FeatureSchema) -> None:
+    if model.schema_hash and schema.sha256() != model.schema_hash:
         raise SchemaError("feature schema does not match the fitted model")
+
+
+def ridge_predict(model: RidgeModel, X: np.ndarray, schema: FeatureSchema | None = None) -> np.ndarray:
+    if schema is not None:
+        check_schema(model, schema)
     X = np.asarray(X, dtype=np.float64)
     if X.shape[1] != model.weights.shape[0]:
         raise SchemaError(f"feature width {X.shape[1]} does not match model ({model.weights.shape[0]})")

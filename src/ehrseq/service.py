@@ -20,7 +20,7 @@ import logging
 import threading
 import time
 from collections import deque
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Sequence
@@ -36,6 +36,7 @@ from .scoring import (
     SchemaError,
     ScorerArtifact,
     assemble_features,
+    check_schema,
     load_embedding_source,
     load_scorer,
     psi,
@@ -115,6 +116,7 @@ class ScoringService:
     ):
         if artifact.schema.scheme == "replacement" and embedding_source is None:
             raise ValueError("replacement-scheme scorer needs an embedding source")
+        check_schema(artifact.model, artifact.schema)  # once: both are immutable
         self.artifact = artifact
         self.artifact_sha256 = artifact_sha256
         self.embedding_source = embedding_source
@@ -157,7 +159,7 @@ class ScoringService:
             X, _ = assemble_features([record], self.artifact.schema.scheme,
                                      schema=self.artifact.schema,
                                      embedding_source=self.embedding_source)
-            score = float(ridge_predict(self.artifact.model, X, self.artifact.schema)[0])
+            score = float(ridge_predict(self.artifact.model, X)[0])
         except SchemaError as exc:
             raise ServiceError(422, str(exc)) from exc
         latency_ms = (time.perf_counter() - t0) * 1000.0
@@ -193,7 +195,7 @@ class ScoringService:
     # -- log writer ----------------------------------------------------------
 
     def _append_log(self, rec: QueryLogRecord) -> None:
-        line = json.dumps(asdict(rec), sort_keys=True)
+        line = json.dumps(vars(rec), sort_keys=True)  # flat fields: asdict would deep-copy them
         with self._log_lock:
             self._logged_scores.append(rec.score)
             if self._log_file is not None:

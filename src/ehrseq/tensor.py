@@ -132,7 +132,7 @@ class Tape:
 
 
 def _emit(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _finite_checks and not np.all(np.isfinite(out_data)):
+    if _finite_checks and not np.isfinite(out_data).all():
         raise TensorError(f"{op}: non-finite values in output")
     tape = _active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)
@@ -237,10 +237,9 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
     out = a.data.transpose(axes)
-    inv = tuple(np.argsort(axes))
 
     def bwd(g):
-        return (g.transpose(inv),)
+        return (g.transpose(np.argsort(axes)),)
 
     return _emit("transpose", out, (a,), bwd)
 

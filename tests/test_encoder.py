@@ -21,6 +21,7 @@ from ehrseq.encoder import (
     predict_next_distribution,
     predict_next_distribution_batch,
     save_checkpoint,
+    stack_samples,
     train,
 )
 from ehrseq.gradcheck import check_gradients
@@ -194,6 +195,14 @@ class TestForward:
         _, a = model.forward(ids, attn)
         _, b = model.forward(ids_rev, attn)
         assert np.abs(a.data - b.data).max() > 1e-4
+
+    def test_decode_false_skips_only_the_logits(self, tiny_setup):
+        _, _, _, model, samples = tiny_setup
+        ids, attn = stack_samples(samples[:4])
+        hidden, logits = model.forward(ids, attn)
+        hidden_only, none = model.forward(ids, attn, decode=False)
+        assert none is None and logits is not None
+        npt.assert_array_equal(hidden_only.data, hidden.data)
 
     def test_too_long_sequence_rejected(self, tiny_setup):
         _, _, cfg, model, _ = tiny_setup

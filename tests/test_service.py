@@ -26,6 +26,7 @@ from ehrseq.encoder import EncoderModel, ModelConfig, save_checkpoint
 from ehrseq.scoring import (
     EmbeddingSource,
     FeatureSchema,
+    SchemaError,
     assemble_features,
     derive_schema,
     ridge_fit,
@@ -340,6 +341,14 @@ class TestPsiWindowBound:
         resp = requests.get(url + "/psi", params={"window": MAX_PSI_WINDOW + 1})
         assert resp.status_code == 400
         assert str(MAX_PSI_WINDOW) in resp.json()["error"]
+
+
+class TestSchemaPin:
+    def test_schema_the_model_was_not_fit_on_is_refused_at_construction(self, base_stack):
+        url, service, schema, model, held, log_path, scorer_path = base_stack
+        other = replace(service.artifact, model=replace(model, schema_hash="0" * 64))
+        with pytest.raises(SchemaError, match="schema"):
+            ScoringService(other, service.artifact_sha256)
 
 
 class TestQueryLog:
