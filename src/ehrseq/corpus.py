@@ -176,18 +176,6 @@ class Vocabulary:
 
     # -- construction / serialization ------------------------------------
 
-    @classmethod
-    def from_corpus(cls, patients: list[PatientHistory]) -> "Vocabulary":
-        code_counts = Counter(e.code for p in patients for e in p.events)
-        counts: dict[str, int] = dict(code_counts)
-        for p in patients:
-            counts[GENDER_TOKENS[GENDERS.index(p.gender)]] = (
-                counts.get(GENDER_TOKENS[GENDERS.index(p.gender)], 0) + 1
-            )
-            age = min(max(p.age_years, 0), N_AGES - 1)
-            counts[f"[AGE_{age}]"] = counts.get(f"[AGE_{age}]", 0) + 1
-        return cls(code_counts.keys(), counts)
-
     def to_bytes(self) -> bytes:
         lines = [f"{VOCAB_HEADER} {len(self.entries)}"]
         lines += [f"{t}\t{self.counts[t]}" for t in self.entries]
@@ -243,13 +231,11 @@ def _parse_patient(obj: dict) -> PatientHistory:
     )
 
 
-def ingest_corpus(path: str | Path, fmt: str = "jsonl", strict: bool = False) -> IngestResult:
-    """Read a patient corpus file; malformed lines are skipped and counted.
+def ingest_corpus(path: str | Path, strict: bool = False) -> IngestResult:
+    """Read a JSONL patient corpus file; malformed lines are skipped and counted.
 
     With ``strict=True`` the first malformed line raises instead.
     """
-    if fmt != "jsonl":
-        raise ValueError(f"unsupported corpus format: {fmt!r}")
     patients: list[PatientHistory] = []
     skipped = 0
     errors: list[str] = []
@@ -386,7 +372,11 @@ def filter_corpus(
 
 def build_vocabulary(patients: list[PatientHistory]) -> Vocabulary:
     """Vocabulary over an already-filtered corpus; |V| = 8 + 2 + 100 + #codes."""
-    return Vocabulary.from_corpus(patients)
+    counts = Counter(e.code for p in patients for e in p.events)
+    codes = list(counts)
+    counts.update(GENDER_TOKENS[GENDERS.index(p.gender)] for p in patients)
+    counts.update(f"[AGE_{min(max(p.age_years, 0), N_AGES - 1)}]" for p in patients)
+    return Vocabulary(codes, counts)
 
 
 def encode_history(

@@ -347,14 +347,11 @@ def risk_curve(
 # ---------------------------------------------------------------------------
 
 
-def export_vectors(rows: Sequence[tuple[str, str, np.ndarray]], path: str | Path,
-                   fmt: str = "tsv") -> int:
+def export_vectors(rows: Sequence[tuple[str, str, np.ndarray]], path: str | Path) -> int:
     """Write (id, label, vector) rows as TSV: ``id<TAB>label<TAB>v0...``.
 
     Returns the number of data rows. Empty input produces a header-only file.
     """
-    if fmt != "tsv":
-        raise ValueError(f"unsupported export format: {fmt!r}")
     dims = {len(v) for _, _, v in rows}
     if len(dims) > 1:
         raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")

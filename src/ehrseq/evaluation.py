@@ -28,7 +28,7 @@ from .corpus import ICD_OFFSET, UNK_ID, PatientHistory, Vocabulary, encode_histo
 from .encoder import EncoderModel, ModelConfig, predict_next_distribution_batch
 from .encoder import train as train_encoder
 from .embedding import embed_batch, embedding_dim
-from .scoring import ridge_solve
+from .scoring import ridge_fit, ridge_predict, select_lambda
 
 OTHER_CATEGORY = "other"
 NEXT_CODE_CHUNK = 512  # prefixes per forward pass
@@ -374,39 +374,26 @@ def _probe_scorer_factory(X: np.ndarray, Y: np.ndarray, index_of: dict[str, int]
     scored by Precision@k on a held-out fifth of the fold's training rows,
     ties going to the strongest penalty.
     """
-    grid = np.sort(np.atleast_1d(np.asarray(lam, dtype=np.float64)))
+    # strongest first: select_lambda keeps the first of equal scores
+    grid = np.sort(np.atleast_1d(np.asarray(lam, dtype=np.float64)))[::-1]
 
-    def fit(rows: np.ndarray, lam_: float):
-        Xt, Yt = X[rows], Y[rows]
-        mu = Xt.mean(axis=0)
-        sd = Xt.std(axis=0)
-        sd = np.where(sd == 0.0, 1.0, sd)
-        ybar = Yt.mean(axis=0)
-        W = ridge_solve((Xt - mu) / sd, Yt - ybar, lam_)
-        return mu, sd, ybar, W
+    def mean_precision(S: np.ndarray, Yv: np.ndarray) -> float:
+        return float(np.mean([precision_at_k(s, set(np.flatnonzero(t).tolist()), k)
+                              for s, t in zip(S, Yv)]))
 
     def factory(train_patients: list[PatientHistory]):
         rows = np.asarray([index_of[p.patient_id] for p in train_patients])
-        best = grid[-1]
+        best = grid[0]
         if grid.shape[0] > 1:
             perm = np.random.default_rng(seed).permutation(rows.shape[0])
             n_val = max(1, rows.shape[0] // 5)
             val, inner = rows[perm[:n_val]], rows[perm[n_val:]]
-            best_score = -1.0
-            for lam_ in grid:
-                mu, sd, ybar, W = fit(inner, lam_)
-                S = ((X[val] - mu) / sd) @ W + ybar
-                score = float(np.mean([
-                    precision_at_k(S[i], set(np.flatnonzero(Y[r]).tolist()), k)
-                    for i, r in enumerate(val)
-                ]))
-                if score >= best_score:
-                    best_score, best = score, lam_
-        mu, sd, ybar, W = fit(rows, best)
+            best = select_lambda(X[inner], Y[inner], X[val], Y[val], grid=grid,
+                                 metric=mean_precision)[0].lam
+        model = ridge_fit(X[rows], Y[rows], best)
 
         def scorer(prefixes: Sequence[PatientHistory]) -> np.ndarray:
-            rows = np.asarray([index_of[p.patient_id] for p in prefixes])
-            return ((X[rows] - mu) / sd) @ W + ybar
+            return ridge_predict(model, X[[index_of[p.patient_id] for p in prefixes]])
 
         return scorer
 
@@ -442,6 +429,9 @@ def ablation_suite(
         cat_map = load_category_map(vocab=vocab)
     for pooling in poolings:
         embedding_dim(base_config.d, pooling)  # validates the strategy name
+    lam_grid = np.atleast_1d(np.asarray(probe_lambda, dtype=np.float64))
+    if lam_grid.size == 0 or not (lam_grid > 0).all():
+        raise ValueError(f"probe_lambda must be one or more penalties > 0, got {probe_lambda!r}")
     usable = [p for p in patients if len(group_visits(p)) >= 2]
     if not usable:
         raise ValueError("no patient has at least 2 visits")

@@ -22,7 +22,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -247,7 +247,7 @@ def assemble_features(
 @dataclass
 class RidgeModel:
     weights: np.ndarray
-    intercept: float
+    intercept: float | np.ndarray
     lam: float
     mean: np.ndarray
     scale: np.ndarray
@@ -267,9 +267,13 @@ def ridge_solve(X: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
 def ridge_fit(X: np.ndarray, y: np.ndarray, lam: float,
               schema_hash: str = "", training_period: str = "") -> RidgeModel:
     """Standardize columns, solve the normal equations, keep the intercept
-    unpenalized (it equals the label mean on centered features)."""
+    unpenalized (it equals the label mean on centered features).
+
+    ``y`` is a label vector or an (n, k) target matrix; a matrix gets one
+    weight column and one intercept per target.
+    """
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    y = np.asarray(y, dtype=np.float64)
     if X.shape[0] != y.shape[0]:
         raise ValueError(f"{X.shape[0]} rows vs {y.shape[0]} labels")
     if X.shape[0] < 2:
@@ -280,8 +284,8 @@ def ridge_fit(X: np.ndarray, y: np.ndarray, lam: float,
     scale = X.std(axis=0)
     scale = np.where(scale == 0.0, 1.0, scale)
     Xs = (X - mean) / scale
-    ybar = float(y.mean())
-    w = ridge_solve(Xs, y - ybar, lam).reshape(-1)
+    ybar = y.mean(axis=0)
+    w = ridge_solve(Xs, y - ybar, lam)
     return RidgeModel(weights=w, intercept=ybar, lam=lam, mean=mean, scale=scale,
                       schema_hash=schema_hash, training_period=training_period)
 
@@ -300,30 +304,6 @@ def ridge_predict(model: RidgeModel, X: np.ndarray, schema: FeatureSchema | None
     return ((X - model.mean) / model.scale) @ model.weights + model.intercept
 
 
-def select_lambda(
-    X_train: np.ndarray, y_train: np.ndarray,
-    X_val: np.ndarray, y_val: np.ndarray,
-    grid: Sequence[float] = LAMBDA_GRID,
-    schema_hash: str = "", training_period: str = "",
-) -> tuple[RidgeModel, dict[float, float]]:
-    """Fit each λ on the grid and keep the best validation AUC."""
-    aucs: dict[float, float] = {}
-    best: tuple[float, RidgeModel] | None = None
-    for lam in grid:
-        m = ridge_fit(X_train, y_train, lam, schema_hash, training_period)
-        auc = roc_auc(ridge_predict(m, X_val), y_val)
-        aucs[lam] = auc
-        if best is None or auc > best[0]:
-            best = (auc, m)
-    assert best is not None
-    return best[1], aucs
-
-
-# ---------------------------------------------------------------------------
-# Metrics
-# ---------------------------------------------------------------------------
-
-
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mann-Whitney AUC with midranks for ties."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -337,6 +317,33 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
         raise ValueError("roc_auc needs both classes present")
     ranks = rankdata(scores)  # midranks
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def select_lambda(
+    X_train: np.ndarray, y_train: np.ndarray,
+    X_val: np.ndarray, y_val: np.ndarray,
+    grid: Sequence[float] = LAMBDA_GRID,
+    metric: Callable[[np.ndarray, np.ndarray], float] = roc_auc,
+    schema_hash: str = "", training_period: str = "",
+) -> tuple[RidgeModel, dict[float, float]]:
+    """Fit each λ on the grid and keep the best ``metric(val_scores, y_val)``;
+    among equal scores the earliest λ in the grid wins."""
+    scores: dict[float, float] = {}
+    best: tuple[float, RidgeModel] | None = None
+    for lam in grid:
+        m = ridge_fit(X_train, y_train, lam, schema_hash, training_period)
+        score = metric(ridge_predict(m, X_val), y_val)
+        scores[lam] = score
+        if best is None or score > best[0]:
+            best = (score, m)
+    if best is None:
+        raise ValueError("empty lambda grid")
+    return best[1], scores
+
+
+# ---------------------------------------------------------------------------
+# Metrics
+# ---------------------------------------------------------------------------
 
 
 @dataclass

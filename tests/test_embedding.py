@@ -326,10 +326,6 @@ class TestVectorExport:
         with pytest.raises(ValueError, match="dimensions"):
             export_vectors(rows, tmp_path / "bad.tsv")
 
-    def test_unsupported_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            export_vectors([], tmp_path / "bad.bin", fmt="npz")
-
     def test_read_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "foreign.tsv"
         path.write_text("name\tvalue\n1\t2\n")

@@ -11,11 +11,13 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ehrseq import evaluation
 from ehrseq.corpus import Event, PatientHistory, build_vocabulary, filter_corpus, group_visits
 from ehrseq.encoder import EncoderModel, ModelConfig, predict_next_distribution
 from ehrseq.evaluation import (
     CategoryMap,
     OracleNextCodePredictor,
+    _probe_scorer_factory,
     ablation_suite,
     baseline_most_common,
     baseline_previous,
@@ -27,6 +29,7 @@ from ehrseq.evaluation import (
     next_code_accuracy,
     precision_at_k,
 )
+from ehrseq.scoring import ridge_fit, ridge_predict
 from ehrseq.synthetic import generate_synthetic_corpus
 
 
@@ -357,6 +360,17 @@ class TestAblationSuite:
         with pytest.raises(ValueError, match="strategy"):
             ablation_suite(patients, vocab, config, poolings=("sum",))
 
+    @pytest.mark.parametrize("probe_lambda", [(), (0.0, 1.0), -1.0, (1.0, float("nan"))],
+                             ids=["empty", "zero", "negative", "nan"])
+    def test_bad_probe_lambda_rejected_before_training(self, ablation_setup, monkeypatch,
+                                                       probe_lambda):
+        patients, vocab, config = ablation_setup
+        trained = []
+        monkeypatch.setattr(evaluation, "train_encoder", lambda *a, **kw: trained.append(1))
+        with pytest.raises(ValueError, match="probe_lambda"):
+            ablation_suite(patients, vocab, config, poolings=("cls",), probe_lambda=probe_lambda)
+        assert trained == []
+
     def test_probe_lambda_grid_is_deterministic_and_in_range(self, ablation_setup):
         patients, vocab, config = ablation_setup
         kwargs = dict(poolings=("cls",), positional=(True,), gender_age=(True,),
@@ -365,3 +379,21 @@ class TestAblationSuite:
         rep2 = ablation_suite(patients, vocab, config, **kwargs)
         assert rep1.cell(variant="cls", k=5).value == rep2.cell(variant="cls", k=5).value
         assert 0.0 <= rep1.cell(variant="cls", k=5).value <= 1.0
+
+
+class TestProbeScorer:
+    def test_all_tied_grid_fits_the_strongest_penalty_on_all_rows(self):
+        rng = np.random.default_rng(12)
+        n, n_cat = 40, 4
+        X = rng.normal(size=(n, 6))
+        Y = (rng.random((n, n_cat)) < 0.4).astype(float)
+        Y[:, 0] = 1.0  # every row has a target category
+        patients = [mkpatient(f"p{i}", ["A01"]) for i in range(n)]
+        index_of = {p.patient_id: i for i, p in enumerate(patients)}
+        grid = (0.3, 30.0, 3.0)
+        # with k >= n_categories every candidate scores Precision@k = 1
+        factory = _probe_scorer_factory(X, Y, index_of, grid, k=n_cat, seed=1)
+        train, test = patients[:30], patients[30:]
+        scores = factory(train)(test)
+        expected = ridge_predict(ridge_fit(X[:30], Y[:30], max(grid)), X[30:])
+        assert np.array_equal(scores, expected)

@@ -332,6 +332,45 @@ class TestRidge:
         assert set(aucs) == set(LAMBDA_GRID)
         assert best.lam == max(aucs, key=lambda lam: aucs[lam])
 
+    def test_target_matrix_fits_like_its_columns(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(40, 5))
+        Y = (rng.random((40, 3)) < 0.4).astype(float)
+        m = ridge_fit(X, Y, 0.7)
+        assert m.weights.shape == (5, 3) and m.intercept.shape == (3,)
+        pred = ridge_predict(m, X[:7])
+        for j in range(3):
+            mj = ridge_fit(X, Y[:, j], 0.7)
+            assert mj.weights.shape == (5,) and np.ndim(mj.intercept) == 0
+            npt.assert_allclose(m.weights[:, j], mj.weights, atol=1e-10)
+            assert m.intercept[j] == mj.intercept
+            npt.assert_allclose(pred[:, j], ridge_predict(mj, X[:7]), atol=1e-10)
+
+    def test_select_lambda_uses_the_given_metric(self):
+        rng = np.random.default_rng(10)
+        X = rng.normal(size=(120, 6))
+        y = ((X @ rng.normal(size=6) + rng.normal(size=120)) > 0).astype(float)
+        neg_mse = lambda s, t: -float(np.mean((s - t) ** 2))
+        best, scores = select_lambda(X[:80], y[:80], X[80:], y[80:], metric=neg_mse)
+        assert set(scores) == set(LAMBDA_GRID)
+        assert best.lam == max(scores, key=scores.get)
+        assert scores[best.lam] == neg_mse(ridge_predict(best, X[80:]), y[80:])
+
+    def test_select_lambda_ties_go_to_the_earlier_lambda(self):
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(30, 3))
+        y = (rng.random(30) < 0.5).astype(float)
+        flat = lambda s, t: 0.5
+        for grid in ((10.0, 0.1, 1.0), (0.1, 1.0, 10.0)):
+            best, _ = select_lambda(X[:20], y[:20], X[20:], y[20:], grid=grid, metric=flat)
+            assert best.lam == grid[0]
+
+    def test_select_lambda_rejects_an_empty_grid(self):
+        X = np.eye(4)
+        y = np.array([0, 1, 0, 1.0])
+        with pytest.raises(ValueError, match="grid"):
+            select_lambda(X, y, X, y, grid=())
+
 
 class TestRocAuc:
     def test_boundary_values(self):
