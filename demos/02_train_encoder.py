@@ -24,8 +24,8 @@ print(f"random-guess loss would be ln({len(vocab) - 110}) = "
       f"{np.log(len(vocab) - 110):.4f}")
 
 # checkpoints round-trip exactly
-save_checkpoint(model, "/tmp/demo_encoder.npz")
-clone = load_checkpoint("/tmp/demo_encoder.npz", expected_vocab_sha256=vocab.sha256())
+save_checkpoint(model, "/tmp/demo_encoder.ckpt")
+clone = load_checkpoint("/tmp/demo_encoder.ckpt", expected_vocab_sha256=vocab.sha256())
 ids = np.stack([samples[0].token_ids])
 attn = np.stack([samples[0].attention_mask])
 _, a = model.forward(ids, attn)

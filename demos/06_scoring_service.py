@@ -26,7 +26,7 @@ train_rec = [r for r in apps if r.month < 3]
 y = np.array([r.claim for r in train_rec], dtype=np.float64)
 X, schema = assemble_features(train_rec, "base")
 model = ridge_fit(X, y, lam=10.0, schema_hash=schema.sha256(), training_period="months 0-2")
-save_scorer("/tmp/demo_scorer.npz", model, schema,
+save_scorer("/tmp/demo_scorer.bin", model, schema,
             reference_scores=ridge_predict(model, X, schema))
 print(f"saved scorer: {X.shape[1]} features, lambda {model.lam:g}")
 
@@ -34,7 +34,7 @@ print(f"saved scorer: {X.shape[1]} features, lambda {model.lam:g}")
 # 2. Serve it
 # ----------------------
 
-service = ScoringService.from_files("/tmp/demo_scorer.npz", log_path="/tmp/demo_queries.jsonl")
+service = ScoringService.from_files("/tmp/demo_scorer.bin", log_path="/tmp/demo_queries.jsonl")
 server = make_server(service, port=0)  # port 0 -> pick a free one
 host, port = server.server_address
 threading.Thread(target=server.serve_forever, daemon=True).start()

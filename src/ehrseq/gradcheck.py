@@ -112,9 +112,15 @@ def _build_cases(seed: int) -> dict[str, list[tuple[dict[str, Tensor], Callable[
     w_m1 = w((3, 5))
     m2 = _case_inputs(rng, a=(2, 3, 4), b=(4, 5))
     w_m2 = w((2, 3, 5))
+    m3 = _case_inputs(rng, a=(2, 2, 3, 4), b=(4, 5))  # two leading axes folded into rows
+    w_m3 = w((2, 2, 3, 5))
+    m4 = _case_inputs(rng, a=(2, 3, 4), b=(2, 4, 5))  # batched right operand
+    w_m4 = w((2, 3, 5))
     cases["matmul"] = [
         (m1, lambda p: T.weighted_sum(T.matmul(p["a"], p["b"]), w_m1)),
         (m2, lambda p: T.weighted_sum(T.matmul(p["a"], p["b"]), w_m2)),
+        (m3, lambda p: T.weighted_sum(T.matmul(p["a"], p["b"]), w_m3)),
+        (m4, lambda p: T.weighted_sum(T.matmul(p["a"], p["b"]), w_m4)),
     ]
 
     a1 = _case_inputs(rng, a=(3, 5), b=(3, 5))

@@ -26,7 +26,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import rankdata
 
 from .container import check_pin, load_artifact, save_artifact
 from .corpus import GENDERS, ApplicationRecord, Event, PatientHistory, Vocabulary
@@ -304,6 +303,17 @@ def ridge_predict(model: RidgeModel, X: np.ndarray, schema: FeatureSchema | None
     return ((X - model.mean) / model.scale) @ model.weights + model.intercept
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``; tied values share the mean of their positions."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], xs.size]  # one past each tie group
+    ranks = np.empty(xs.size, dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     """Mann-Whitney AUC with midranks for ties."""
     scores = np.asarray(scores, dtype=np.float64)
@@ -315,7 +325,7 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> float:
     n_neg = labels.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("roc_auc needs both classes present")
-    ranks = rankdata(scores)  # midranks
+    ranks = _midranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

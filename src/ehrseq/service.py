@@ -210,11 +210,21 @@ class ScoringService:
 
 
 def read_query_log(path: str | Path) -> list[QueryLogRecord]:
-    records = []
+    """Records of a JSON-lines query log. A malformed last line, the torn tail
+    of an append cut short by a crash, is skipped with a warning; a malformed
+    line anywhere else raises ``json.JSONDecodeError``."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                records.append(QueryLogRecord(**json.loads(line)))
+        lines = [line for line in fh if line.strip()]
+    records = []
+    for i, line in enumerate(lines):
+        try:
+            fields = json.loads(line)
+        except json.JSONDecodeError:
+            if i < len(lines) - 1:
+                raise
+            logger.warning("%s: skipping a torn last line (%d bytes)", path, len(line))
+            break
+        records.append(QueryLogRecord(**fields))
     return records
 
 

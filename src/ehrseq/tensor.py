@@ -10,6 +10,13 @@ Broadcasting is limited to leading batch dimensions (bias vectors, per-batch
 masks); anything fancier raises. Every op output is checked for NaN/Inf
 unless :func:`set_finite_checks` disabled it.
 
+Every op keeps its inputs' dtype, so a float32 model runs float32 end to end:
+embedding lookup, forward, loss and gradients. Constants inside ops are
+Python floats for this reason. :func:`matmul` with a 2-D right operand (a
+weight matrix) folds the left operand's leading axes into rows and runs one
+2-D GEMM forward and one for each gradient; batched right operands (attention
+products) use numpy's batched matmul.
+
 Typical use::
 
     with Tape() as tape:
@@ -19,6 +26,7 @@ Typical use::
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Iterable, Sequence
 
@@ -27,8 +35,10 @@ from scipy.special import erf
 
 DEFAULT_DTYPE = np.float32
 
-_SQRT2 = np.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not numpy scalars: under NumPy 2's promotion rules (NEP 50) a
+# float64 numpy scalar turns a float32 array into float64.
+_SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class TensorError(RuntimeError):
@@ -212,6 +222,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise TensorError(f"matmul: operands must be at least 2-D, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise TensorError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
+    if b.ndim == 2:
+        # a weight product: fold a's leading axes into rows so that forward and each
+        # gradient are one 2-D GEMM; the batched path below would run one GEMM per
+        # leading index for gb and sum them in _unbroadcast
+        a2 = a.data.reshape(-1, a.shape[-1])
+        out = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
+
+        def bwd_2d(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            ga = (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None
+            gb = a2.T @ g2 if b.requires_grad else None
+            return (ga, gb)
+
+        return _emit("matmul", out, (a, b), bwd_2d)
     out = np.matmul(a.data, b.data)
 
     def bwd(g):

@@ -223,6 +223,26 @@ class TestForward:
         assert res.passed, f"worst {res.worst_param}: {res.max_rel_error:.2e}"
 
 
+class TestDtype:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_model_dtype_holds_from_lookup_to_gradients(self, tiny_setup, dtype):
+        _, _, _, model, samples = tiny_setup
+        assert model.params["tok_emb"].dtype == np.float32
+        m = model if dtype is np.float32 else model.astype(np.float64)
+        batch = mlm_mask(samples[:8], 0.25, np.random.default_rng(3), m.config.vocab_size)
+        with Tape() as tape:
+            loss = m.mlm_loss(batch, train=True, rng=np.random.default_rng(0))
+        grads = T.backward(loss, tape, params=m.params.values())
+        wrong = sorted({f"{n.op}:{n.output.dtype}" for n in tape.nodes if n.output.dtype != dtype})
+        assert not wrong, f"tape outputs not {np.dtype(dtype)}: {wrong}"
+        assert {"dropout", "gelu", "cross_entropy"} <= {n.op for n in tape.nodes}
+        assert loss.dtype == dtype
+        wrong = sorted(name for name, p in m.params.items() if grads[p].dtype != dtype)
+        assert not wrong, f"gradients not {np.dtype(dtype)}: {wrong}"
+        hidden, _ = m.forward(*stack_samples(samples[:4]), decode=False)
+        assert hidden.dtype == dtype
+
+
 class TestTrain:
     def test_zero_lr_leaves_parameters(self, tiny_setup):
         _, vocab, _, _, samples = tiny_setup

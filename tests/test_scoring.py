@@ -391,6 +391,17 @@ class TestRocAuc:
         # vs the tied negative: 0.5; vs the lower negative: 1.0
         assert roc_auc(scores, labels) == pytest.approx(0.75)
 
+    def test_heavy_ties_match_recorded_values(self):
+        # recorded with the midranks of scipy's rankdata; 300 scores on 4 levels
+        rng = np.random.default_rng(11)
+        scores = rng.integers(0, 4, size=300).astype(float)
+        labels = (rng.random(300) < 0.2 + 0.15 * scores).astype(int)
+        assert roc_auc(scores, labels) == 0.7293647512746314
+        assert roc_auc(np.array([1.0, 1, 2, 2, 3, 3]), np.array([0, 1, 0, 1, 1, 1])) == 0.75
+        pos, neg = scores[labels == 1], scores[labels == 0]
+        wins = (pos[:, None] > neg).sum() + 0.5 * (pos[:, None] == neg).sum()
+        assert roc_auc(scores, labels) == pytest.approx(wins / (pos.size * neg.size), rel=1e-12)
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(9)
         scores = rng.normal(size=300)

@@ -6,6 +6,7 @@ ephemeral port; requests go through the real HTTP stack.
 
 import http.client
 import json
+import logging
 import socket
 import statistics
 import threading
@@ -394,6 +395,28 @@ class TestQueryLog:
         for i, _, score in results:
             assert abs(score - offline[i]) <= 1e-6
         assert len(read_query_log(log_path)) - before == len(recs)
+
+    @staticmethod
+    def _log_lines(n=3):
+        recs = [QueryLogRecord(timestamp="2024-01-01T00:00:00.000+00:00", app_id=f"a{i}",
+                               payload_sha256="0" * 64, score=0.25 * i, model_hash="1" * 64,
+                               latency_ms=1.5) for i in range(n)]
+        return recs, [json.dumps(vars(r), sort_keys=True) + "\n" for r in recs]
+
+    def test_torn_last_line_is_skipped_with_a_warning(self, tmp_path, caplog):
+        recs, lines = self._log_lines()
+        torn = tmp_path / "torn.jsonl"
+        torn.write_text("".join(lines) + lines[0][:40], encoding="utf-8")  # append cut short
+        with caplog.at_level(logging.WARNING, logger="ehrseq.service"):
+            assert read_query_log(torn) == recs
+        assert "torn last line" in caplog.text
+
+    def test_malformed_line_before_the_last_raises(self, tmp_path):
+        _, lines = self._log_lines()
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(lines[0] + lines[1][:40] + "\n" + lines[2], encoding="utf-8")
+        with pytest.raises(json.JSONDecodeError):
+            read_query_log(bad)
 
 
 @pytest.fixture(scope="module")
