@@ -274,7 +274,7 @@ def cmd_risk_curve(args) -> dict:
         group = list(args.group)
     curve = embedding.risk_curve(model, vocab, group, gender=args.gender)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with container.atomic_write(args.out) as fh:
             fh.write("age\trisk\n")
             for age, value in curve:
                 fh.write(f"{age}\t{value:.8g}\n")
@@ -382,8 +382,8 @@ def cmd_score_eval(args) -> dict:
         "psi_vs_reference": round(drift, 6),
     }
     if args.out:
-        Path(args.out).write_text(
-            "\n".join(f"{s:.8g}" for s in scores) + "\n", encoding="utf-8")
+        with container.atomic_write(args.out) as fh:
+            fh.write("\n".join(f"{s:.8g}" for s in scores) + "\n")
         out["out"] = str(args.out)
     return out
 

@@ -23,7 +23,9 @@ import json
 import os
 import secrets
 import struct
+from contextlib import contextmanager
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -42,9 +44,38 @@ def check_pin(what: str, recorded: str, offered: str) -> None:
                              f"offered {offered[:12]}; refit with `ehrseq score-train`")
 
 
+@contextmanager
+def atomic_write(path: str | Path, mode: str = "w") -> Iterator[IO]:
+    """Open ``path`` for writing ("w" text as UTF-8, or "wb") so a crash leaves no half file.
+
+    The data goes to a temporary file in the target's directory, which is
+    fsynced and renamed over ``path`` when the block exits cleanly, after
+    which the directory is fsynced too. If the block raises, the temporary
+    file is removed and any old file at ``path`` is left as it was.
+    """
+    if mode not in ("w", "wb"):
+        raise ValueError(f"mode must be 'w' or 'wb', got {mode!r}")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    try:
+        with open(tmp, mode.replace("w", "x"), encoding=None if mode == "wb" else "utf-8") as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    if os.name == "posix":
+        fd = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+
+
 def save_artifact(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
     """Write an artifact atomically: a failed write leaves any old file as it was."""
-    path = Path(path)
     header = {
         "format_version": FORMAT_VERSION,
         "kind": kind,
@@ -52,22 +83,14 @@ def save_artifact(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.
         "arrays": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
-    try:
-        with open(tmp, "xb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            for arr in arrays.values():
-                raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with atomic_write(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for arr in arrays.values():
+            raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+            fh.write(struct.pack("<I", len(raw)))
+            fh.write(raw)
 
 
 def load_artifact(path: str | Path, kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:

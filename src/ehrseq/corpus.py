@@ -33,6 +33,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .container import atomic_write
 from .icd import InvalidCodeError, normalize_code
 
 GENDERS = ("M", "F")
@@ -185,7 +186,8 @@ class Vocabulary:
         return hashlib.sha256(self.to_bytes()).hexdigest()
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_bytes(self.to_bytes())
+        with atomic_write(path, "wb") as fh:
+            fh.write(self.to_bytes())
 
     @classmethod
     def load(cls, path: str | Path) -> "Vocabulary":
@@ -257,7 +259,7 @@ def ingest_corpus(path: str | Path, strict: bool = False) -> IngestResult:
 
 def write_patients_jsonl(patients: Iterable[PatientHistory], path: str | Path) -> int:
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for p in patients:
             obj = {
                 "patient_id": p.patient_id,
@@ -300,7 +302,7 @@ def read_insurance_jsonl(path: str | Path, strict: bool = False) -> tuple[list[A
 
 def write_insurance_jsonl(records: Iterable[ApplicationRecord], path: str | Path) -> int:
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for r in records:
             obj = {
                 "app_id": r.app_id,

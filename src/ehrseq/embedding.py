@@ -1,7 +1,7 @@
 """Patient and concept embeddings on top of a trained encoder.
 
 :func:`embed_batch` is the one embedding path: it encodes histories, pads
-them into batches, runs one forward pass per batch and pools the contextual
+them into length-sorted batches, runs one forward pass per batch and pools the contextual
 vectors into one fixed vector per patient under each requested strategy.
 Mean and max run over all non-PAD positions, including the CLS and
 demographic slots (an ``events_only`` flag restricts them to event slots).
@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .container import atomic_write
 from .corpus import (
     AGE_OFFSET,
     GENDER_OFFSET,
@@ -31,7 +32,7 @@ from .corpus import (
     Vocabulary,
     encode_history,
 )
-from .encoder import EncoderModel, predict_next_distribution_batch, stack_samples
+from .encoder import EncoderModel, length_batches, predict_next_distribution_batch, stack_samples
 
 POOLING_STRATEGIES = ("cls", "mean", "max", "concat_mean_max")
 EMBED_CHUNK = 256  # histories per forward pass
@@ -93,18 +94,27 @@ def embed_batch(
     """Pooled vectors of many histories, one float64 (N, dim) array per strategy.
 
     Histories are encoded as the model was trained (``config.use_gender_age``)
-    and run through one forward pass per chunk, pooled under every strategy.
+    and run through one forward pass per chunk of ``EMBED_CHUNK``, pooled
+    under every strategy. More than one chunk's worth is sorted by encoded
+    length first (:func:`~ehrseq.encoder.length_batches`), so each chunk pads
+    to little more than its own rows; row i of every result is still the
+    vector of ``histories[i]``. A single chunk runs in input order: sorting
+    cannot change its padding.
     """
     cfg = model.config
     out = {s: np.empty((len(histories), embedding_dim(cfg.d, s))) for s in poolings}
-    for start in range(0, len(histories), EMBED_CHUNK):
-        chunk = histories[start : start + EMBED_CHUNK]
-        samples = [encode_history(p, vocab, H=cfg.H, use_gender_age=cfg.use_gender_age)
-                   for p in chunk]
-        ids, attn = stack_samples(samples)
+    samples = [encode_history(p, vocab, H=cfg.H, use_gender_age=cfg.use_gender_age)
+               for p in histories]
+    if len(samples) <= EMBED_CHUNK:
+        chunks = [(slice(None), samples)] if samples else []
+    else:
+        chunks = ((rows, [samples[j] for j in rows])
+                  for rows in length_batches([s.length for s in samples], EMBED_CHUNK))
+    for rows, chunk in chunks:
+        ids, attn = stack_samples(chunk)
         hidden, _ = model.forward(ids, attn, decode=False)
         for s in poolings:
-            out[s][start : start + len(chunk)] = _pool_batch(hidden.data, attn, s, events_only)
+            out[s][rows] = _pool_batch(hidden.data, attn, s, events_only)
     return out
 
 
@@ -356,7 +366,7 @@ def export_vectors(rows: Sequence[tuple[str, str, np.ndarray]], path: str | Path
     if len(dims) > 1:
         raise ValueError(f"inconsistent vector dimensions: {sorted(dims)}")
     dim = dims.pop() if dims else 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         header = ["id", "label"] + [f"v{i}" for i in range(dim)]
         fh.write("\t".join(header) + "\n")
         for rid, label, vec in rows:

@@ -17,6 +17,7 @@ under global-norm gradient clipping.
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -31,6 +32,7 @@ from .tensor import Tape, Tensor, backward
 
 IGNORE_INDEX = -100
 _NEG_INF = -1e9
+POOL_BATCHES = 50  # training batches sorted together by length (see length_batches)
 
 MASK_MODES = ("bert", "plain")
 
@@ -107,6 +109,33 @@ def stack_samples(samples: Sequence[EncodedSample]) -> tuple[np.ndarray, np.ndar
     ids = np.stack([s.token_ids[:longest] for s in samples])
     mask = np.stack([s.attention_mask[:longest] for s in samples])
     return ids, mask
+
+
+def length_batches(lengths: Sequence[int], batch_size: int,
+                   rng: np.random.Generator | None = None) -> list[np.ndarray]:
+    """Row indices cut into batches of similar length, so little of a batch is PAD.
+
+    Without ``rng`` (inference) the rows are sorted by length, stably, and cut
+    in that order. With ``rng`` (training) this is the length-based batching
+    of fairseq: a permutation of the rows, sorted by length inside pools of
+    ``POOL_BATCHES`` batches, cut into batches whose order is then shuffled.
+    A pool is a whole number of batches, so no batch straddles two pools and
+    there are always ``ceil(n / batch_size)`` batches.
+    """
+    lengths = np.asarray(lengths)
+    n = len(lengths)
+    if rng is None:
+        order = np.argsort(lengths, kind="stable")
+    else:
+        order = rng.permutation(n)
+        pool = POOL_BATCHES * batch_size
+        for start in range(0, n, pool):
+            part = order[start : start + pool]
+            order[start : start + pool] = part[np.argsort(lengths[part], kind="stable")]
+    batches = [order[start : start + batch_size] for start in range(0, n, batch_size)]
+    if rng is not None:
+        batches = [batches[i] for i in rng.permutation(len(batches))]
+    return batches
 
 
 def mlm_mask(
@@ -299,10 +328,16 @@ def train(
 ) -> list[float]:
     """Fit the model on encoded samples; returns per-epoch mean MLM loss.
 
-    Deterministic for a fixed config seed (single worker): batch order,
-    masking and dropout all draw from one generator seeded by the config.
-    The epoch mean weights batches by their masked-position counts. A
-    non-finite loss aborts with the epoch/batch location.
+    Each epoch's batches come from :func:`length_batches`: a shuffle, then
+    sorting by length inside pools of ``POOL_BATCHES`` batches, so a batch
+    pads to little more than its own rows' length, and a shuffled batch
+    order. Every sample is seen once per epoch, in ``ceil(n / batch_size)``
+    steps. Deterministic for a fixed config seed (single worker): batch
+    order, masking and dropout all draw from one generator seeded by the
+    config. The epoch mean weights batches by their masked-position counts.
+    A non-finite loss aborts with the epoch/batch location. ``log`` gets
+    one line per epoch: the loss, the share of steps whose gradient norm
+    was clipped, the median and largest norm before clipping, and samples/s.
     """
     if not samples:
         raise ValueError("training corpus is empty")
@@ -313,13 +348,14 @@ def train(
     opt = AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     names = list(model.params)
     history: list[float] = []
-    n = len(samples)
+    lengths = np.array([s.length for s in samples])
     for epoch in range(1, epochs + 1):
-        order = rng.permutation(n)
+        started = time.perf_counter()
         total_loss = 0.0
         total_masked = 0
-        for b, start in enumerate(range(0, n, cfg.batch_size)):
-            chunk = [samples[j] for j in order[start : start + cfg.batch_size]]
+        norms: list[float] = []
+        for b, rows in enumerate(length_batches(lengths, cfg.batch_size, rng)):
+            chunk = [samples[j] for j in rows]
             batch = mlm_mask(chunk, cfg.mask_prob, rng, cfg.vocab_size, mode=cfg.mask_mode)
             n_masked = int((batch.labels != IGNORE_INDEX).sum())
             if n_masked == 0:
@@ -334,7 +370,7 @@ def train(
             except T.TensorError as exc:
                 raise TrainingError(f"epoch {epoch} batch {b}: {exc}") from exc
             named = {k: grads[model.params[k]] for k in names}
-            clip_global_norm(named, cfg.clip_norm)
+            norms.append(clip_global_norm(named, cfg.clip_norm))
             opt.step(named)
             total_loss += value * n_masked
             total_masked += n_masked
@@ -343,7 +379,12 @@ def train(
         model.epochs_completed += 1
         model.loss_history.append(mean)
         if log:
-            log(f"epoch {epoch}/{epochs}: mlm loss {mean:.4f}")
+            seconds = time.perf_counter() - started
+            clipped = sum(x > cfg.clip_norm for x in norms) / max(len(norms), 1)
+            median, largest = (float(np.median(norms)), max(norms)) if norms else (0.0, 0.0)
+            log(f"epoch {epoch}/{epochs}: mlm loss {mean:.4f}, clipped {clipped:.1%} of "
+                f"{len(norms)} steps, grad norm median {median:.3g} max {largest:.3g}, "
+                f"{len(samples) / seconds:.0f} samples/s")
         if checkpoint_dir is not None:
             save_checkpoint(model, Path(checkpoint_dir) / f"epoch{epoch:03d}.ckpt")
         for cb in callbacks:

@@ -20,12 +20,12 @@ import csv
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .corpus import ICD_OFFSET, UNK_ID, PatientHistory, Vocabulary, encode_history, group_visits
-from .encoder import EncoderModel, ModelConfig, predict_next_distribution_batch
+from .encoder import EncoderModel, ModelConfig, length_batches, predict_next_distribution_batch
 from .encoder import train as train_encoder
 from .embedding import embed_batch, embedding_dim
 from .scoring import ridge_fit, ridge_predict, select_lambda
@@ -192,11 +192,24 @@ def baseline_previous() -> PreviousPredictor:
     return PreviousPredictor()
 
 
-def _next_code_chunks(model: EncoderModel, prefixes: Sequence[PatientHistory],
-                      vocab: Vocabulary) -> Iterator[np.ndarray]:
-    """Next-code distributions of consecutive chunks of ``prefixes``."""
-    for start in range(0, len(prefixes), NEXT_CODE_CHUNK):
-        yield predict_next_distribution_batch(model, prefixes[start : start + NEXT_CODE_CHUNK], vocab)
+def _next_code_chunks(model: EncoderModel, prefixes: Sequence[PatientHistory], vocab: Vocabulary,
+                      reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """``reduce`` of the next-code distributions of ``prefixes``, one row per prefix.
+
+    Runs one forward per chunk of ``NEXT_CODE_CHUNK``. More than one chunk's
+    worth is sorted by length first (:func:`~ehrseq.encoder.length_batches`)
+    and the reduced rows are put back in input order. A single chunk runs in
+    input order: sorting cannot change its padding.
+    """
+    if len(prefixes) <= NEXT_CODE_CHUNK:
+        return reduce(predict_next_distribution_batch(model, prefixes, vocab))
+    batches = length_batches([len(p.events) for p in prefixes], NEXT_CODE_CHUNK)
+    parts = [reduce(predict_next_distribution_batch(model, [prefixes[j] for j in rows], vocab))
+             for rows in batches]
+    stacked = np.concatenate(parts)
+    out = np.empty_like(stacked)
+    out[np.concatenate(batches)] = stacked
+    return out
 
 
 class ModelNextCodePredictor:
@@ -207,9 +220,10 @@ class ModelNextCodePredictor:
         self.vocab = vocab
 
     def predict_batch(self, prefixes: Sequence[PatientHistory]) -> list[str]:
-        return [self.vocab.token(int(i))
-                for dists in _next_code_chunks(self.model, prefixes, self.vocab)
-                for i in dists.argmax(axis=1)]
+        if not prefixes:
+            return []
+        ids = _next_code_chunks(self.model, prefixes, self.vocab, lambda d: d.argmax(axis=1))
+        return [self.vocab.token(int(i)) for i in ids]
 
     def __call__(self, prefix: PatientHistory) -> str:
         return self.predict_batch([prefix])[0]
@@ -289,8 +303,7 @@ def model_category_scorer(model: EncoderModel, vocab: Vocabulary, cat_map: Categ
         indicator[j, cat_map.category_of(vocab.token(tid))] = 1.0
 
     def scorer(prefixes: Sequence[PatientHistory]) -> np.ndarray:
-        return np.concatenate([dists[:, ICD_OFFSET:] @ indicator
-                               for dists in _next_code_chunks(model, prefixes, vocab)])
+        return _next_code_chunks(model, prefixes, vocab, lambda d: d[:, ICD_OFFSET:] @ indicator)
 
     return scorer
 

@@ -20,6 +20,8 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import json
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -35,6 +37,7 @@ from .encoder import EncoderModel, load_with_vocab
 MISSING = "__missing__"
 LAMBDA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)
 _PSEUDO_DATE = dt.date(2000, 1, 1)
+EMBEDDING_CACHE_SIZE = 50_000  # cached embedding keys; the least recently used go first
 
 
 class SchemaError(ValueError):
@@ -94,7 +97,9 @@ class EmbeddingSource:
 
     Embeddings of identical (gender, age, anamnesis) keys are cached; with
     tens of thousands of applications drawn from a few thousand patients the
-    cache removes nearly all forward passes.
+    cache removes nearly all forward passes. The cache keeps the
+    ``EMBEDDING_CACHE_SIZE`` most recently used keys, so memory stays bounded
+    over a long run; it counts hits, misses and evictions.
     """
 
     def __init__(self, model: EncoderModel, vocab: Vocabulary, group_table: GroupTable,
@@ -107,11 +112,19 @@ class EmbeddingSource:
         self.vocab = vocab
         self.group_table = group_table
         self.strategy = strategy
-        self._cache: dict[tuple, np.ndarray] = {}
+        self._cache: OrderedDict[tuple, np.ndarray] = OrderedDict()
+        self._cache_lock = threading.Lock()
+        self.cache_hits = self.cache_misses = self.cache_evictions = 0
 
     @property
     def dim(self) -> int:
         return embedding_dim(self.model.config.d, self.strategy)
+
+    def cache_stats(self) -> dict:
+        with self._cache_lock:
+            return {"entries": len(self._cache), "capacity": EMBEDDING_CACHE_SIZE,
+                    "hits": self.cache_hits, "misses": self.cache_misses,
+                    "evictions": self.cache_evictions}
 
     def _pseudo_history(self, gender: str, age: int, codes: Sequence[str]) -> PatientHistory:
         events = [Event(_PSEUDO_DATE, c) for c in sorted(codes)]
@@ -120,25 +133,34 @@ class EmbeddingSource:
     def vectors(self, records: Sequence[ApplicationRecord]) -> np.ndarray:
         out = np.empty((len(records), self.dim), dtype=np.float64)
         pending: dict[tuple, list[int]] = {}
-        for i, r in enumerate(records):
-            if not r.anamnesis:
-                out[i] = self.group_table.lookup(r.gender, r.age_years)
-                continue
-            key = (r.gender, r.age_years, tuple(sorted(r.anamnesis)))
-            hit = self._cache.get(key)
-            if hit is not None:
-                out[i] = hit
-            else:
-                pending.setdefault(key, []).append(i)
+        with self._cache_lock:
+            for i, r in enumerate(records):
+                if not r.anamnesis:
+                    out[i] = self.group_table.lookup(r.gender, r.age_years)
+                    continue
+                key = (r.gender, r.age_years, tuple(sorted(r.anamnesis)))
+                hit = self._cache.get(key)
+                if hit is not None:
+                    self._cache.move_to_end(key)
+                    self.cache_hits += 1
+                    out[i] = hit
+                else:
+                    self.cache_misses += 1
+                    pending.setdefault(key, []).append(i)
         if pending:
             keys = list(pending)
             histories = [self._pseudo_history(g, a, codes) for g, a, codes in keys]
             embs = patient_embeddings(self.model, histories, self.vocab, self.strategy)
-            for key, emb in zip(keys, embs):
-                vec = emb.vector.astype(np.float64)
-                self._cache[key] = vec
-                for i in pending[key]:
-                    out[i] = vec
+            with self._cache_lock:
+                for key, emb in zip(keys, embs):
+                    vec = emb.vector.astype(np.float64)
+                    self._cache[key] = vec
+                    self._cache.move_to_end(key)
+                    for i in pending[key]:
+                        out[i] = vec
+                while len(self._cache) > EMBEDDING_CACHE_SIZE:
+                    self._cache.popitem(last=False)
+                    self.cache_evictions += 1
         return out
 
 

@@ -149,6 +149,7 @@ class ScoringService:
         }
         if self.embedding_source is not None:
             out["encoder_sha256"] = self.embedding_source.encoder_sha256
+            out["embedding_cache"] = self.embedding_source.cache_stats()
         return out
 
     def score_payload(self, payload) -> dict:

@@ -178,6 +178,39 @@ class TestPipeline:
         assert len(summary["points"]) == 100
         assert (pipeline / "curve.tsv").read_text().startswith("age\trisk\n")
 
+    @staticmethod
+    def fail_fsync(monkeypatch):
+        def no_space(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(container.os, "fsync", no_space)
+
+    def test_failed_risk_curve_write_keeps_the_old_file(self, pipeline, tmp_path, capsys,
+                                                       monkeypatch):
+        out = tmp_path / "curve.tsv"
+        out.write_text("old\n")
+        self.fail_fsync(monkeypatch)
+        code = cli.main(["risk-curve", "--vocab", str(pipeline / "vocab.tsv"),
+                         "--model", str(pipeline / "encoder.ckpt"), "--group", "I25",
+                         "--out", str(out)])
+        assert code == 1 and "No space" in capsys.readouterr().err
+        assert out.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["curve.tsv"]
+
+    def test_failed_score_eval_write_keeps_the_old_file(self, pipeline, tmp_path, capsys,
+                                                       monkeypatch):
+        code, _ = run(capsys, "score-train", "--insurance", str(pipeline / "insurance.jsonl"),
+                      "--scheme", "base", "--val-months", "2", "--out", str(tmp_path / "s.bin"))
+        assert code == 0
+        out = tmp_path / "scores.txt"
+        out.write_text("old\n")
+        self.fail_fsync(monkeypatch)
+        code = cli.main(["score-eval", "--scorer", str(tmp_path / "s.bin"),
+                         "--insurance", str(pipeline / "insurance.jsonl"), "--out", str(out)])
+        assert code == 1 and "No space" in capsys.readouterr().err
+        assert out.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.bin", "scores.txt"]
+
     def test_score_train_eval_and_psi(self, pipeline, capsys):
         code, summary = run(capsys, "score-train",
                             "--insurance", str(pipeline / "insurance.jsonl"),

@@ -4,8 +4,15 @@ import json
 import numpy as np
 import pytest
 
+from ehrseq import container
 from ehrseq import corpus as C
 from ehrseq.icd import InvalidCodeError, code_prefix, is_valid_code, normalize_code
+
+
+def interrupted(items, after):
+    """Yield ``after`` items, then fail as a crash mid-write would."""
+    yield from items[:after]
+    raise RuntimeError("write interrupted")
 
 
 def mkpatient(pid, gender, age, codes, start="2015-03-01", step_days=7):
@@ -116,6 +123,55 @@ class TestVocabularyLayout:
         path.write_text("\n".join(text) + "\n")
         with pytest.raises(ValueError):
             C.Vocabulary.load(path)
+
+
+class TestWritersLeaveNoHalfFile:
+    PATIENTS = [mkpatient("p1", "M", 30, ["J06.9", "I25"]), mkpatient("p2", "F", 80, ["A00"])]
+    RECORDS = [C.ApplicationRecord("a1", 3, "M", 44, ["I25"], {"region": "north"}, 1),
+               C.ApplicationRecord("a2", 0, "F", 29, [], {"region": "south"}, 0)]
+
+    def test_patients_jsonl_failure_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.jsonl"
+        C.write_patients_jsonl(self.PATIENTS[:1], path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            C.write_patients_jsonl(interrupted(self.PATIENTS, 1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+
+    def test_patients_jsonl_failure_leaves_no_file(self, tmp_path):
+        with pytest.raises(RuntimeError, match="interrupted"):
+            C.write_patients_jsonl(interrupted(self.PATIENTS, 1), tmp_path / "out.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_insurance_jsonl_failure_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "apps.jsonl"
+        C.write_insurance_jsonl(self.RECORDS[1:], path)
+        before = path.read_bytes()
+        with pytest.raises(RuntimeError, match="interrupted"):
+            C.write_insurance_jsonl(interrupted(self.RECORDS, 1), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["apps.jsonl"]
+
+    def test_vocabulary_save_failure_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "vocab.tsv"
+        C.build_vocabulary(self.PATIENTS[:1]).save(path)
+        before = path.read_bytes()
+
+        def no_space(fd):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(container.os, "fsync", no_space)  # the new bytes are written, not yet renamed
+        with pytest.raises(OSError, match="No space"):
+            C.build_vocabulary(self.PATIENTS).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.tsv"]
+
+    def test_atomic_write_rejects_other_modes(self, tmp_path):
+        with pytest.raises(ValueError, match="mode"):
+            with container.atomic_write(tmp_path / "x", "a"):
+                pass
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestIngest:

@@ -11,11 +11,14 @@ import numpy.testing as npt
 import pytest
 
 from ehrseq.corpus import GENDERS, N_AGES, PatientHistory, build_vocabulary, filter_corpus
+from ehrseq import embedding as embedding_module
 from ehrseq.embedding import (
+    EMBED_CHUNK,
     GroupTable,
     POOLING_STRATEGIES,
     _pool_batch,
     average_group_embedding,
+    embed_batch,
     embedding_dim,
     export_vectors,
     nearest_tokens,
@@ -116,6 +119,39 @@ class TestPatientEmbeddings:
         assert emb.vector.dtype == np.float32
         assert emb.vector.shape == (model.config.d,)
         assert emb.strategy == "mean"
+
+    def test_more_than_one_chunk_runs_sorted_and_returns_input_order(self, setup, monkeypatch):
+        patients, vocab, model = setup
+        rng = np.random.default_rng(8)
+        cuts = [replace(p, patient_id=f"{p.patient_id}/{k}", events=p.events[:k])
+                for p in patients for k in (1, 2, 4, 8, 16, 24) if k <= len(p.events)]
+        histories = [cuts[i] for i in rng.permutation(len(cuts))[: EMBED_CHUNK + 44]]
+        assert len(histories) == EMBED_CHUNK + 44
+        widths = []
+        forward = EncoderModel.forward
+
+        def spy(self, ids, attn, *args, **kwargs):
+            widths.append(ids.shape)
+            return forward(self, ids, attn, *args, **kwargs)
+
+        monkeypatch.setattr(EncoderModel, "forward", spy)
+        out = embed_batch(model, histories, vocab, ("mean", "cls"))
+        monkeypatch.undo()
+        # two forwards over length-sorted chunks: the short rows pad to their own width
+        assert [b for b, _ in widths] == [EMBED_CHUNK, 44]
+        assert widths[0][1] < widths[1][1]
+        for i, h in enumerate(histories):
+            for s in ("mean", "cls"):
+                one = patient_embedding(model, h, vocab, s).vector
+                npt.assert_allclose(out[s][i], one, atol=1e-5, rtol=0)
+
+    def test_one_chunk_runs_in_input_order(self, setup, monkeypatch):
+        patients, vocab, model = setup
+        monkeypatch.setattr(embedding_module, "length_batches", None)  # must not be reached
+        assert len(patients) <= EMBED_CHUNK
+        out = embed_batch(model, patients, vocab, ("mean",))
+        assert out["mean"].shape == (len(patients), model.config.d)
+        assert embed_batch(model, [], vocab, ("mean",))["mean"].shape == (0, model.config.d)
 
     def test_mean_pooling_ignores_event_order_without_positions(self, setup):
         patients, vocab, _ = setup
@@ -320,6 +356,16 @@ class TestVectorExport:
         ids, labels, matrix = read_vectors(path)
         assert ids == [] and labels == []
         assert matrix.shape == (0, 0)
+
+    def test_failed_export_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "v.tsv"
+        export_vectors([("a", "b", np.array([1.0, 2.0]))], path)
+        before = path.read_bytes()
+        rows = [("a", "x", np.zeros(2)), ("b", "y", ["0.5", object()])]  # fails on row two
+        with pytest.raises(TypeError):
+            export_vectors(rows, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["v.tsv"]
 
     def test_dimension_mismatch_rejected(self, tmp_path):
         rows = [("a", "x", np.zeros(3)), ("b", "y", np.zeros(4))]

@@ -1,9 +1,16 @@
+import math
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ehrseq import encoder as encoder_module
 from ehrseq.container import ContainerError, load_artifact, save_artifact
 from ehrseq.corpus import (
+    AGE_OFFSET,
+    CLS_ID,
+    GENDER_OFFSET,
     MASK_ID,
     ICD_OFFSET,
     EncodedSample,
@@ -13,9 +20,11 @@ from ehrseq.corpus import (
 )
 from ehrseq.encoder import (
     IGNORE_INDEX,
+    POOL_BATCHES,
     EncoderModel,
     ModelConfig,
     TrainingError,
+    length_batches,
     load_checkpoint,
     mlm_mask,
     predict_next_distribution,
@@ -300,6 +309,103 @@ class TestTrain:
         assert [e for e, _ in seen] == [1, 2]
         assert (tmp_path / "epoch001.ckpt").exists()
         assert (tmp_path / "epoch002.ckpt").exists()
+
+
+def mixed_length_samples(n, vocab_size, seed=0, H=24):
+    """Encoded samples whose event counts run from 1 to H in random order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in rng.integers(1, H + 1, size=n):
+        ids = np.zeros(3 + H, dtype=np.int64)
+        ids[:3] = (CLS_ID, GENDER_OFFSET, AGE_OFFSET + 40)
+        ids[3 : 3 + k] = rng.integers(ICD_OFFSET, vocab_size, size=k)
+        mask = np.zeros(3 + H, dtype=np.int64)
+        mask[: 3 + k] = 1
+        out.append(EncodedSample(ids, mask, 3 + int(k)))
+    return out
+
+
+class TestLengthBatches:
+    def test_inference_order_is_a_stable_length_sort(self):
+        lengths = [5, 3, 5, 1, 3, 9, 1]
+        batches = length_batches(lengths, 3)
+        assert [b.tolist() for b in batches] == [[3, 6, 1], [4, 0, 2], [5]]
+
+    def test_training_batches_cover_every_row_once_and_sort_each_pool(self):
+        rng = np.random.default_rng(0)
+        lengths = rng.integers(4, 28, size=1000)
+        batch_size = 8
+        batches = length_batches(lengths, batch_size, np.random.default_rng(1))
+        assert len(batches) == math.ceil(1000 / batch_size)
+        npt.assert_array_equal(np.sort(np.concatenate(batches)), np.arange(1000))
+        # within a pool the rows were sorted before cutting, so a full batch
+        # spans a narrow band of lengths
+        spans = [np.ptp(lengths[b]) for b in batches if len(b) == batch_size]
+        assert np.median(spans) <= 1
+
+
+class TestGroupedTraining:
+    """What one ``train`` epoch feeds to masking, recorded through ``mlm_mask``."""
+
+    @staticmethod
+    def record_epoch(monkeypatch, model, samples):
+        seen = []
+        original = encoder_module.mlm_mask
+
+        def spy(chunk, *args, **kwargs):
+            batch = original(chunk, *args, **kwargs)
+            seen.append(([id(s) for s in chunk], batch.attention_mask))
+            return batch
+
+        monkeypatch.setattr(encoder_module, "mlm_mask", spy)
+        train(model, samples, epochs=1)
+        return seen
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tiny_setup):
+        _, vocab, _, _, _ = tiny_setup
+        cfg = ModelConfig.desk_scale(len(vocab), d=16, n_layers=1, n_heads=2,
+                                     max_len=3 + 24, batch_size=8, epochs=1, seed=2)
+        return cfg, mixed_length_samples(8 * POOL_BATCHES + 37, len(vocab), seed=4)
+
+    def test_epoch_visits_every_sample_once_in_ceil_n_over_b_steps(self, corpus, monkeypatch):
+        cfg, samples = corpus
+        seen = self.record_epoch(monkeypatch, EncoderModel.build(cfg), samples)
+        assert len(seen) == math.ceil(len(samples) / cfg.batch_size)
+        visited = sorted(i for ids, _ in seen for i in ids)
+        assert visited == sorted(id(s) for s in samples)
+
+    def test_pad_share_is_below_half_of_the_ungrouped_order(self, corpus, monkeypatch):
+        cfg, samples = corpus
+        seen = self.record_epoch(monkeypatch, EncoderModel.build(cfg), samples)
+        grouped = sum(int((m == 0).sum()) for _, m in seen) / sum(m.size for _, m in seen)
+        order = np.random.default_rng(cfg.seed).permutation(len(samples))
+        pad = cells = 0
+        for start in range(0, len(samples), cfg.batch_size):
+            _, m = stack_samples([samples[j] for j in order[start : start + cfg.batch_size]])
+            pad, cells = pad + int((m == 0).sum()), cells + m.size
+        assert grouped < 0.5 * (pad / cells)
+
+    def test_two_runs_from_one_seed_give_bitwise_equal_losses(self, corpus):
+        cfg, samples = corpus
+        h1 = train(EncoderModel.build(cfg), samples, epochs=2)
+        h2 = train(EncoderModel.build(cfg), samples, epochs=2)
+        assert h1 == h2
+
+    def test_epoch_log_line_reports_clipping_norms_and_rate(self, tiny_setup):
+        _, vocab, _, _, samples = tiny_setup
+        for clip_norm, share in ((1e-9, "100.0%"), (1e9, "0.0%")):
+            cfg = ModelConfig.desk_scale(len(vocab), d=16, n_layers=1, n_heads=2,
+                                         max_len=3 + 24, batch_size=16, clip_norm=clip_norm)
+            lines = []
+            train(EncoderModel.build(cfg), samples[:64], epochs=2, log=lines.append)
+            assert len(lines) == 2
+            m = re.fullmatch(r"epoch 2/2: mlm loss (\S+), clipped (\S+) of 4 steps, "
+                             r"grad norm median (\S+) max (\S+), (\d+) samples/s", lines[1])
+            assert m is not None, lines[1]
+            assert m.group(2) == share
+            assert 0.0 < float(m.group(3)) <= float(m.group(4))
+            assert int(m.group(5)) > 0
 
 
 class TestPredictNextDistribution:

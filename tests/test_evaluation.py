@@ -15,7 +15,9 @@ from ehrseq import evaluation
 from ehrseq.corpus import Event, PatientHistory, build_vocabulary, filter_corpus, group_visits
 from ehrseq.encoder import EncoderModel, ModelConfig, predict_next_distribution
 from ehrseq.evaluation import (
+    NEXT_CODE_CHUNK,
     CategoryMap,
+    ModelNextCodePredictor,
     OracleNextCodePredictor,
     _probe_scorer_factory,
     ablation_suite,
@@ -143,6 +145,33 @@ class TestNextCodeAccuracy:
         recs = rep.to_json_records()
         assert recs[0]["metric"] == "next_code_accuracy"
         assert recs[0]["th"] == 4
+
+
+class TestModelNextCodePredictor:
+    def test_more_than_one_chunk_returns_input_order(self, corpus, monkeypatch):
+        vocab = build_vocabulary(corpus)
+        model = EncoderModel.build(ModelConfig(vocab_size=len(vocab), d=16, n_layers=1,
+                                               n_heads=2, max_len=27, seed=6))
+        prefixes = [PatientHistory(f"{p.patient_id}/{k}", p.gender, p.age_years, p.events[:k])
+                    for p in corpus for k in (0, 1, 3, 7, 15, 30) if k <= len(p.events)]
+        order = np.random.default_rng(2).permutation(len(prefixes))[: NEXT_CODE_CHUNK + 40]
+        prefixes = [prefixes[i] for i in order]
+        assert len(prefixes) == NEXT_CODE_CHUNK + 40
+        predictor = ModelNextCodePredictor(model, vocab)
+        chunks = []
+        batch_fn = evaluation.predict_next_distribution_batch
+
+        def spy(model, chunk, vocab):
+            chunks.append([len(p.events) for p in chunk])
+            return batch_fn(model, chunk, vocab)
+
+        monkeypatch.setattr(evaluation, "predict_next_distribution_batch", spy)
+        batched = predictor.predict_batch(prefixes)
+        monkeypatch.undo()
+        # two forwards over length-sorted chunks
+        assert [len(c) for c in chunks] == [NEXT_CODE_CHUNK, 40]
+        assert max(chunks[0]) <= min(chunks[1])
+        assert batched == [predictor(p) for p in prefixes]
 
 
 class TestCategoryMap:

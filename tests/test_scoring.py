@@ -11,6 +11,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from ehrseq import scoring
 from ehrseq.container import ContainerError
 from ehrseq.corpus import ApplicationRecord, build_vocabulary, filter_corpus
 from ehrseq.embedding import average_group_embedding, patient_embeddings
@@ -190,6 +191,22 @@ class TestEmbeddingSource:
         assert key in source._cache
         again = source.vectors(recs[:1])
         npt.assert_array_equal(again[0], out[0])
+
+    def test_cache_evicts_the_least_recently_used_key(self, embed_setup, monkeypatch):
+        patients, vocab, model, table, _, codes = embed_setup
+        monkeypatch.setattr(scoring, "EMBEDDING_CACHE_SIZE", 2)
+        source = EmbeddingSource(model, vocab, table, strategy="mean")
+        a, b, c = (mkrecord(f"r{i}", anamnesis=[code]) for i, code in enumerate(codes))
+        key = lambda r: (r.gender, r.age_years, tuple(r.anamnesis))  # noqa: E731
+        first_b = source.vectors([a, b])[1]
+        source.vectors([a])  # a becomes the most recently used key
+        source.vectors([c])  # the cap is 2, so b goes
+        assert list(source._cache) == [key(a), key(c)]
+        assert source.cache_stats() == {"entries": 2, "capacity": 2, "hits": 1,
+                                        "misses": 3, "evictions": 1}
+        npt.assert_array_equal(source.vectors([b])[0], first_b)  # recomputed, same vector
+        assert list(source._cache) == [key(c), key(b)]
+        assert source.cache_stats()["evictions"] == 2
 
     def test_anamnesis_order_does_not_matter(self, embed_setup):
         patients, vocab, model, table, source, codes = embed_setup

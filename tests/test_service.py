@@ -471,6 +471,18 @@ class TestReplacementServing:
         assert body["scheme"] == "replacement"
         assert body["encoder_sha256"] == service.embedding_source.model.params_sha256()
 
+    def test_health_reports_embedding_cache_counters(self, replacement_stack):
+        url, service, schema, model, records, *_ = replacement_stack
+        rec = next(r for r in records if r.anamnesis)
+        before = requests.get(url + "/health").json()["embedding_cache"]
+        for _ in range(2):
+            assert requests.post(url + "/score", json=as_payload(rec)).status_code == 200
+        after = requests.get(url + "/health").json()["embedding_cache"]
+        assert after["hits"] + after["misses"] == before["hits"] + before["misses"] + 2
+        assert after["hits"] >= before["hits"] + 1
+        assert after["evictions"] == 0
+        assert 1 <= after["entries"] <= after["capacity"]
+
     def test_health_computes_no_hash(self, replacement_stack, monkeypatch):
         url, service, schema, *_ = replacement_stack
 
