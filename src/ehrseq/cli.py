@@ -286,20 +286,8 @@ def cmd_risk_curve(args) -> dict:
 def cmd_export_vectors(args) -> dict:
     model, vocab = encoder.load_with_vocab(args.model, args.vocab)
     table = model.params["tok_emb"].data
-    rows = []
-    for tid in range(len(vocab)):
-        token = vocab.token(tid)
-        if vocab.is_icd_id(tid):
-            label = "icd"
-        elif corpus.AGE_OFFSET <= tid < corpus.AGE_OFFSET + corpus.N_AGES:
-            label = "age"
-        elif corpus.GENDER_OFFSET <= tid < corpus.AGE_OFFSET:
-            label = "gender"
-        else:
-            label = "aux"
-        if args.restrict != "any" and label != args.restrict:
-            continue
-        rows.append((token, label, table[tid]))
+    kinds = corpus.TOKEN_KINDS if args.restrict == "any" else (args.restrict,)
+    rows = [(vocab.token(tid), kind, table[tid]) for kind in kinds for tid in vocab.ids(kind)]
     n = embedding.export_vectors(rows, _require_out(args))
     return {"command": "export-vectors", "rows": n, "restrict": args.restrict,
             "out": str(args.out)}
@@ -536,8 +524,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p = add("export-vectors", cmd_export_vectors, help="export the static token table as TSV")
     p.add_argument("--vocab", required=True)
     p.add_argument("--model", required=True)
-    p.add_argument("--restrict", choices=("icd", "age", "gender", "aux", "any"),
-                   default="any")
+    p.add_argument("--restrict", choices=corpus.TOKEN_KINDS + ("any",), default="any")
 
     p = add("score-train", cmd_score_train, help="fit the insurance risk scorer")
     p.add_argument("--insurance", required=True)

@@ -46,6 +46,7 @@ N_AGES = 100
 GENDER_OFFSET = len(AUX_TOKENS)
 AGE_OFFSET = GENDER_OFFSET + len(GENDER_TOKENS)
 ICD_OFFSET = AGE_OFFSET + N_AGES
+TOKEN_KINDS = ("aux", "gender", "age", "icd")  # token classes, in id order
 
 VOCAB_HEADER = "ehrseq-vocab v1"
 
@@ -174,6 +175,15 @@ class Vocabulary:
 
     def is_icd_id(self, token_id: int) -> bool:
         return ICD_OFFSET <= token_id < len(self.entries)
+
+    def ids(self, kind: str) -> range:
+        """Ids of one token class (one of ``TOKEN_KINDS``), or of every token for "any"."""
+        bounds = {"aux": (0, GENDER_OFFSET), "gender": (GENDER_OFFSET, AGE_OFFSET),
+                  "age": (AGE_OFFSET, ICD_OFFSET), "icd": (ICD_OFFSET, len(self.entries)),
+                  "any": (0, len(self.entries))}
+        if kind not in bounds:
+            raise ValueError(f"token class must be one of {TOKEN_KINDS + ('any',)}, got {kind!r}")
+        return range(*bounds[kind])
 
     # -- construction / serialization ------------------------------------
 

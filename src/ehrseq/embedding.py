@@ -1,8 +1,9 @@
 """Patient and concept embeddings on top of a trained encoder.
 
-:func:`embed_batch` is the one embedding path: it encodes histories, pads
-them into length-sorted batches, runs one forward pass per batch and pools the contextual
-vectors into one fixed vector per patient under each requested strategy.
+:func:`embed_batch` is the one embedding path: it encodes histories, runs
+them through the encoder's inference batches (:func:`~ehrseq.encoder.infer_batches`,
+the loop next-code prediction uses too) and pools the contextual vectors
+into one fixed vector per patient under each requested strategy.
 Mean and max run over all non-PAD positions, including the CLS and
 demographic slots (an ``events_only`` flag restricts them to event slots).
 On the static token table the module answers nearest-neighbor queries; on a
@@ -21,21 +22,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .container import atomic_write
-from .corpus import (
-    AGE_OFFSET,
-    GENDER_OFFSET,
-    GENDERS,
-    GENDER_TOKENS,
-    ICD_OFFSET,
-    N_AGES,
-    PatientHistory,
-    Vocabulary,
-    encode_history,
-)
-from .encoder import EncoderModel, length_batches, predict_next_distribution_batch, stack_samples
+from .corpus import GENDERS, GENDER_TOKENS, N_AGES, PatientHistory, Vocabulary, encode_history
+from .encoder import EncoderModel, infer_batches, predict_next_distribution_batch
 
 POOLING_STRATEGIES = ("cls", "mean", "max", "concat_mean_max")
-EMBED_CHUNK = 256  # histories per forward pass
 
 
 @dataclass
@@ -93,28 +83,18 @@ def embed_batch(
 ) -> dict[str, np.ndarray]:
     """Pooled vectors of many histories, one float64 (N, dim) array per strategy.
 
-    Histories are encoded as the model was trained (``config.use_gender_age``)
-    and run through one forward pass per chunk of ``EMBED_CHUNK``, pooled
-    under every strategy. More than one chunk's worth is sorted by encoded
-    length first (:func:`~ehrseq.encoder.length_batches`), so each chunk pads
-    to little more than its own rows; row i of every result is still the
-    vector of ``histories[i]``. A single chunk runs in input order: sorting
-    cannot change its padding.
+    Histories are encoded as the model was trained (``config.use_gender_age``),
+    run through the model in the batches of
+    :func:`~ehrseq.encoder.infer_batches` and pooled under every strategy;
+    row i of every result is the vector of ``histories[i]``.
     """
     cfg = model.config
     out = {s: np.empty((len(histories), embedding_dim(cfg.d, s))) for s in poolings}
     samples = [encode_history(p, vocab, H=cfg.H, use_gender_age=cfg.use_gender_age)
                for p in histories]
-    if len(samples) <= EMBED_CHUNK:
-        chunks = [(slice(None), samples)] if samples else []
-    else:
-        chunks = ((rows, [samples[j] for j in rows])
-                  for rows in length_batches([s.length for s in samples], EMBED_CHUNK))
-    for rows, chunk in chunks:
-        ids, attn = stack_samples(chunk)
-        hidden, _ = model.forward(ids, attn, decode=False)
+    for rows, attn, hidden, _ in infer_batches(model, samples, decode=False):
         for s in poolings:
-            out[s][rows] = _pool_batch(hidden.data, attn, s, events_only)
+            out[s][rows] = _pool_batch(hidden, attn, s, events_only)
     return out
 
 
@@ -170,14 +150,7 @@ def nearest_tokens(
     qnorm = float(np.linalg.norm(qv))
     if qnorm == 0.0:
         raise ValueError(f"query token {query!r} has a zero embedding")
-    if restrict == "icd":
-        cand = np.arange(ICD_OFFSET, len(vocab))
-    elif restrict == "age":
-        cand = np.arange(AGE_OFFSET, AGE_OFFSET + N_AGES)
-    elif restrict == "gender":
-        cand = np.arange(GENDER_OFFSET, GENDER_OFFSET + len(GENDER_TOKENS))
-    else:
-        cand = np.arange(len(vocab))
+    cand = np.asarray(vocab.ids(restrict))
     cand = cand[cand != qid]
     vecs = table[cand]
     norms = np.linalg.norm(vecs, axis=1)

@@ -20,7 +20,7 @@ import hashlib
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .tensor import Tape, Tensor, backward
 IGNORE_INDEX = -100
 _NEG_INF = -1e9
 POOL_BATCHES = 50  # training batches sorted together by length (see length_batches)
+INFER_CHUNK = 256  # samples per inference forward pass (see infer_batches)
 
 MASK_MODES = ("bert", "plain")
 
@@ -136,6 +137,27 @@ def length_batches(lengths: Sequence[int], batch_size: int,
     if rng is not None:
         batches = [batches[i] for i in rng.permutation(len(batches))]
     return batches
+
+
+def infer_batches(model: EncoderModel, samples: Sequence[EncodedSample], decode: bool
+                  ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]]:
+    """Inference forward passes over ``samples``, one per batch.
+
+    Yields ``(rows, attention_mask, hidden, logits)`` per batch: ``rows`` are
+    the batch's indices into ``samples``, so ``out[rows] = f(...)`` puts
+    results in input order; ``logits`` is None unless ``decode``. Up to
+    ``INFER_CHUNK`` samples run as one batch in input order. More are cut by
+    :func:`length_batches` into length-sorted batches of ``INFER_CHUNK``, each
+    padded to little more than its own rows.
+    """
+    if len(samples) > INFER_CHUNK:
+        batches = length_batches([s.length for s in samples], INFER_CHUNK)
+    else:
+        batches = [np.arange(len(samples))] if samples else []
+    for rows in batches:
+        ids, attn = stack_samples([samples[j] for j in rows])
+        hidden, logits = model.forward(ids, attn, decode=decode)
+        yield rows, attn, hidden.data, None if logits is None else logits.data
 
 
 def mlm_mask(
@@ -413,35 +435,31 @@ def predict_next_distribution_batch(
     model: EncoderModel,
     prefixes: Sequence[PatientHistory],
     vocab: Vocabulary,
+    reduce: Callable[[np.ndarray], np.ndarray] = lambda dists: dists,
 ) -> np.ndarray:
-    """Next-code distributions for many prefixes at once; rows sum to 1.
+    """``reduce`` of the next-code distributions of ``prefixes``, one row per prefix.
 
-    The distribution is the MASK-slot softmax with all non-diagnosis token
-    mass zeroed and renormalized over the diagnosis ids.
+    A distribution is the MASK-slot softmax with all non-diagnosis token mass
+    zeroed and renormalized over the diagnosis ids; its rows sum to 1.
+    ``reduce`` maps each batch's (b, |V|) distributions to b rows (argmax ids,
+    category sums; it must accept b = 0), so only the reduced rows of all
+    prefixes are kept; the default keeps the distributions. Batches come from
+    :func:`infer_batches`.
     """
     if len(vocab) != model.config.vocab_size:
         raise ValueError(
             f"vocabulary size {len(vocab)} does not match model vocab_size {model.config.vocab_size}"
         )
     samples = [_prefix_sample(p, vocab, model.config) for p in prefixes]
-    ids, attn = stack_samples(samples)
-    mask_pos = np.array([s.length - 1 for s in samples])
-    _, logits = model.forward(ids, attn, train=False)
-    at_mask = logits.data[np.arange(len(samples)), mask_pos]  # (B, V)
-    shifted = at_mask - at_mask.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
-    probs[:, :ICD_OFFSET] = 0.0
-    probs /= probs.sum(axis=-1, keepdims=True)
-    return probs
-
-
-def predict_next_distribution(
-    model: EncoderModel,
-    prefix: PatientHistory,
-    vocab: Vocabulary,
-) -> np.ndarray:
-    """Distribution over the vocabulary for the code following ``prefix``."""
-    return predict_next_distribution_batch(model, [prefix], vocab)[0]
+    empty = reduce(np.zeros((0, len(vocab)), dtype=model.params["dec_b"].dtype))
+    out = np.empty((len(samples),) + empty.shape[1:], dtype=empty.dtype)
+    for rows, _, _, logits in infer_batches(model, samples, decode=True):
+        at_mask = logits[np.arange(len(rows)), [samples[j].length - 1 for j in rows]]  # (b, V)
+        probs = np.exp(at_mask - at_mask.max(axis=-1, keepdims=True))
+        probs[:, :ICD_OFFSET] = 0.0
+        probs /= probs.sum(axis=-1, keepdims=True)
+        out[rows] = reduce(probs)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .corpus import ICD_OFFSET, UNK_ID, PatientHistory, Vocabulary, encode_history, group_visits
-from .encoder import EncoderModel, ModelConfig, length_batches, predict_next_distribution_batch
+from .encoder import EncoderModel, ModelConfig, predict_next_distribution_batch
 from .encoder import train as train_encoder
 from .embedding import embed_batch, embedding_dim
 from .scoring import ridge_fit, ridge_predict, select_lambda
 
 OTHER_CATEGORY = "other"
-NEXT_CODE_CHUNK = 512  # prefixes per forward pass
 
 
 # ---------------------------------------------------------------------------
@@ -192,26 +191,6 @@ def baseline_previous() -> PreviousPredictor:
     return PreviousPredictor()
 
 
-def _next_code_chunks(model: EncoderModel, prefixes: Sequence[PatientHistory], vocab: Vocabulary,
-                      reduce: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """``reduce`` of the next-code distributions of ``prefixes``, one row per prefix.
-
-    Runs one forward per chunk of ``NEXT_CODE_CHUNK``. More than one chunk's
-    worth is sorted by length first (:func:`~ehrseq.encoder.length_batches`)
-    and the reduced rows are put back in input order. A single chunk runs in
-    input order: sorting cannot change its padding.
-    """
-    if len(prefixes) <= NEXT_CODE_CHUNK:
-        return reduce(predict_next_distribution_batch(model, prefixes, vocab))
-    batches = length_batches([len(p.events) for p in prefixes], NEXT_CODE_CHUNK)
-    parts = [reduce(predict_next_distribution_batch(model, [prefixes[j] for j in rows], vocab))
-             for rows in batches]
-    stacked = np.concatenate(parts)
-    out = np.empty_like(stacked)
-    out[np.concatenate(batches)] = stacked
-    return out
-
-
 class ModelNextCodePredictor:
     """argmax of the encoder's next-code distribution (lowest id on ties)."""
 
@@ -220,9 +199,8 @@ class ModelNextCodePredictor:
         self.vocab = vocab
 
     def predict_batch(self, prefixes: Sequence[PatientHistory]) -> list[str]:
-        if not prefixes:
-            return []
-        ids = _next_code_chunks(self.model, prefixes, self.vocab, lambda d: d.argmax(axis=1))
+        ids = predict_next_distribution_batch(self.model, prefixes, self.vocab,
+                                              lambda d: d.argmax(axis=1))
         return [self.vocab.token(int(i)) for i in ids]
 
     def __call__(self, prefix: PatientHistory) -> str:
@@ -303,7 +281,8 @@ def model_category_scorer(model: EncoderModel, vocab: Vocabulary, cat_map: Categ
         indicator[j, cat_map.category_of(vocab.token(tid))] = 1.0
 
     def scorer(prefixes: Sequence[PatientHistory]) -> np.ndarray:
-        return _next_code_chunks(model, prefixes, vocab, lambda d: d[:, ICD_OFFSET:] @ indicator)
+        return predict_next_distribution_batch(model, prefixes, vocab,
+                                               lambda d: d[:, ICD_OFFSET:] @ indicator)
 
     return scorer
 
@@ -448,10 +427,13 @@ def ablation_suite(
     usable = [p for p in patients if len(group_visits(p)) >= 2]
     if not usable:
         raise ValueError("no patient has at least 2 visits")
+    index_of = {p.patient_id: i for i, p in enumerate(usable)}
+    if len(index_of) < len(usable):  # the probe finds each patient's row by id
+        repeated = sorted(k for k, n in Counter(p.patient_id for p in usable).items() if n > 1)
+        raise ValueError(f"patient ids must be unique, repeated: {repeated[:5]}")
     tasks = [_visit_task(p, cat_map) for p in usable]
     prefixes = [t[0] for t in tasks]
     targets = [t[1] for t in tasks]
-    index_of = {p.patient_id: i for i, p in enumerate(prefixes)}
     Y = np.zeros((len(usable), cat_map.n_categories), dtype=np.float64)
     for i, target in enumerate(targets):
         for c in target:

@@ -7,8 +7,7 @@ in exact reverse order. Ops record onto the innermost active tape of the
 current thread; with no active tape they are plain forward computations.
 
 Broadcasting is limited to leading batch dimensions (bias vectors, per-batch
-masks); anything fancier raises. Every op output is checked for NaN/Inf
-unless :func:`set_finite_checks` disabled it.
+masks); anything fancier raises. Every op output is checked for NaN/Inf.
 
 Every op keeps its inputs' dtype, so a float32 model runs float32 end to end:
 embedding lookup, forward, loss and gradients. Constants inside ops are
@@ -43,17 +42,6 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 class TensorError(RuntimeError):
     """Shape mismatch, non-finite values, or misuse of the tape."""
-
-
-_finite_checks = True
-
-
-def set_finite_checks(enabled: bool) -> bool:
-    """Toggle per-op NaN/Inf detection; returns the previous setting."""
-    global _finite_checks
-    prev = _finite_checks
-    _finite_checks = bool(enabled)
-    return prev
 
 
 class Tensor:
@@ -142,7 +130,7 @@ class Tape:
 
 
 def _emit(op: str, out_data: np.ndarray, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _finite_checks and not np.isfinite(out_data).all():
+    if not np.isfinite(out_data).all():
         raise TensorError(f"{op}: non-finite values in output")
     tape = _active_tape()
     track = tape is not None and any(t.requires_grad for t in inputs)

@@ -267,16 +267,10 @@ class TestTapeMechanics:
         with pytest.raises(TensorError, match="scalar"):
             backward(out, tape)
 
-    def test_finite_check_toggle(self):
+    def test_finite_check_raises(self):
         bad = T.constant(np.array([[1.0, np.inf]]))
         with pytest.raises(TensorError, match="non-finite"):
             T.scale(bad, 1.0)
-        prev = T.set_finite_checks(False)
-        try:
-            out = T.scale(bad, 1.0)
-            assert np.isinf(out.data[0, 1])
-        finally:
-            T.set_finite_checks(prev)
 
     def test_float32_default_float64_preserved(self):
         assert Tensor(np.array([1, 2])).dtype == np.float32

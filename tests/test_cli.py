@@ -160,6 +160,30 @@ class TestPipeline:
                             "--restrict", "icd", "--out", str(pipeline / "tok.tsv"))
         assert code == 0 and summary["rows"] > 0
 
+    def test_export_vectors_restrict_classes(self, pipeline, capsys):
+        model, vocab = encoder.load_with_vocab(pipeline / "encoder.ckpt", pipeline / "vocab.tsv")
+        table = model.params["tok_emb"].data
+        classes = {"aux": list(corpus.AUX_TOKENS), "gender": list(corpus.GENDER_TOKENS),
+                   "age": [f"[AGE_{a}]" for a in range(100)],
+                   "icd": [vocab.token(i) for i in vocab.icd_ids]}
+        assert len(classes["icd"]) == vocab.n_icd
+        expected = {k: (tokens, [k] * len(tokens)) for k, tokens in classes.items()}
+        expected["any"] = (sum(classes.values(), []),
+                           sum(([k] * len(t) for k, t in classes.items()), []))
+        assert len(expected["any"][0]) == len(vocab)
+        for restrict, (tokens, labels) in expected.items():
+            out = pipeline / f"tok_{restrict}.tsv"
+            code, summary = run(capsys, "export-vectors",
+                                "--vocab", str(pipeline / "vocab.tsv"),
+                                "--model", str(pipeline / "encoder.ckpt"),
+                                "--restrict", restrict, "--out", str(out))
+            assert code == 0 and summary["rows"] == len(tokens)
+            got_tokens, got_labels, matrix = embedding.read_vectors(out)
+            assert got_tokens == tokens  # id order
+            assert got_labels == labels
+            np.testing.assert_allclose(matrix, table[[vocab.id_for(t) for t in tokens]],
+                                       rtol=1e-7)
+
     def test_neighbors(self, pipeline, capsys):
         code, summary = run(capsys, "neighbors",
                             "--vocab", str(pipeline / "vocab.tsv"),

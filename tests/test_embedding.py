@@ -11,9 +11,8 @@ import numpy.testing as npt
 import pytest
 
 from ehrseq.corpus import GENDERS, N_AGES, PatientHistory, build_vocabulary, filter_corpus
-from ehrseq import embedding as embedding_module
+from ehrseq import encoder as encoder_module
 from ehrseq.embedding import (
-    EMBED_CHUNK,
     GroupTable,
     POOLING_STRATEGIES,
     _pool_batch,
@@ -28,7 +27,7 @@ from ehrseq.embedding import (
     read_vectors,
     risk_curve,
 )
-from ehrseq.encoder import EncoderModel, ModelConfig
+from ehrseq.encoder import INFER_CHUNK, EncoderModel, ModelConfig
 from ehrseq.synthetic import generate_synthetic_corpus
 
 
@@ -125,8 +124,8 @@ class TestPatientEmbeddings:
         rng = np.random.default_rng(8)
         cuts = [replace(p, patient_id=f"{p.patient_id}/{k}", events=p.events[:k])
                 for p in patients for k in (1, 2, 4, 8, 16, 24) if k <= len(p.events)]
-        histories = [cuts[i] for i in rng.permutation(len(cuts))[: EMBED_CHUNK + 44]]
-        assert len(histories) == EMBED_CHUNK + 44
+        histories = [cuts[i] for i in rng.permutation(len(cuts))[: INFER_CHUNK + 44]]
+        assert len(histories) == INFER_CHUNK + 44
         widths = []
         forward = EncoderModel.forward
 
@@ -138,7 +137,7 @@ class TestPatientEmbeddings:
         out = embed_batch(model, histories, vocab, ("mean", "cls"))
         monkeypatch.undo()
         # two forwards over length-sorted chunks: the short rows pad to their own width
-        assert [b for b, _ in widths] == [EMBED_CHUNK, 44]
+        assert [b for b, _ in widths] == [INFER_CHUNK, 44]
         assert widths[0][1] < widths[1][1]
         for i, h in enumerate(histories):
             for s in ("mean", "cls"):
@@ -147,8 +146,8 @@ class TestPatientEmbeddings:
 
     def test_one_chunk_runs_in_input_order(self, setup, monkeypatch):
         patients, vocab, model = setup
-        monkeypatch.setattr(embedding_module, "length_batches", None)  # must not be reached
-        assert len(patients) <= EMBED_CHUNK
+        monkeypatch.setattr(encoder_module, "length_batches", None)  # must not be reached
+        assert len(patients) <= INFER_CHUNK
         out = embed_batch(model, patients, vocab, ("mean",))
         assert out["mean"].shape == (len(patients), model.config.d)
         assert embed_batch(model, [], vocab, ("mean",))["mean"].shape == (0, model.config.d)
@@ -322,6 +321,12 @@ class TestRiskCurve:
         f = risk_curve(model, vocab, pref, gender="F", ages=ages)[0][1]
         both = risk_curve(model, vocab, pref, gender=None, ages=ages)[0][1]
         assert min(m, f) - 1e-9 <= both <= max(m, f) + 1e-9
+
+    def test_no_ages(self, setup):
+        _, vocab, model = setup
+        pref = vocab.token(vocab.icd_ids[0])[:3]
+        assert risk_curve(model, vocab, pref, gender="F", ages=[]) == []
+        assert risk_curve(model, vocab, pref, ages=[]) == []
 
     def test_unknown_group_rejected(self, setup):
         patients, vocab, model = setup

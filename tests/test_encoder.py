@@ -27,7 +27,6 @@ from ehrseq.encoder import (
     length_batches,
     load_checkpoint,
     mlm_mask,
-    predict_next_distribution,
     predict_next_distribution_batch,
     save_checkpoint,
     stack_samples,
@@ -411,7 +410,7 @@ class TestGroupedTraining:
 class TestPredictNextDistribution:
     def test_normalized_over_icd_only(self, tiny_setup):
         pats, vocab, _, model, _ = tiny_setup
-        dist = predict_next_distribution(model, pats[0], vocab)
+        dist = predict_next_distribution_batch(model, [pats[0]], vocab)[0]
         assert dist.shape == (len(vocab),)
         npt.assert_allclose(dist.sum(), 1.0, atol=1e-6)
         assert dist[:ICD_OFFSET].sum() == 0.0
@@ -421,7 +420,7 @@ class TestPredictNextDistribution:
         model = EncoderModel.build(cfg)
         model.params["dec_w"].data[:] = 0.0
         model.params["dec_b"].data[:] = 0.0
-        dist = predict_next_distribution(model, pats[1], vocab)
+        dist = predict_next_distribution_batch(model, [pats[1]], vocab)[0]
         icd = dist[ICD_OFFSET:]
         npt.assert_allclose(icd, 1.0 / vocab.n_icd, rtol=1e-5)
 
@@ -434,16 +433,20 @@ class TestPredictNextDistribution:
         long = PatientHistory("x", donor.gender, donor.age_years, long_events)
         manual = PatientHistory("x", donor.gender, donor.age_years, long_events[-(cfg.H - 1):])
         npt.assert_array_equal(
-            predict_next_distribution(model, long, vocab),
-            predict_next_distribution(model, manual, vocab),
+            predict_next_distribution_batch(model, [long], vocab)[0],
+            predict_next_distribution_batch(model, [manual], vocab)[0],
         )
 
     def test_batch_matches_single(self, tiny_setup):
         pats, vocab, _, model, _ = tiny_setup
         batch = predict_next_distribution_batch(model, pats[:5], vocab)
         for i, p in enumerate(pats[:5]):
-            npt.assert_allclose(batch[i], predict_next_distribution(model, p, vocab),
+            npt.assert_allclose(batch[i], predict_next_distribution_batch(model, [p], vocab)[0],
                                 rtol=1e-6, atol=1e-9)
+
+    def test_no_prefixes(self, tiny_setup):
+        _, vocab, _, model, _ = tiny_setup
+        assert predict_next_distribution_batch(model, [], vocab).shape == (0, len(vocab))
 
     def test_vocab_size_mismatch_rejected(self, tiny_setup):
         pats, vocab, cfg, model, _ = tiny_setup
@@ -451,7 +454,7 @@ class TestPredictNextDistribution:
 
         other = Vocabulary(["A00", "B00"])
         with pytest.raises(ValueError, match="vocab"):
-            predict_next_distribution(model, pats[0], other)
+            predict_next_distribution_batch(model, [pats[0]], other)
 
 
 class TestCheckpoint:

@@ -6,6 +6,7 @@ the same fold partition and frequency scorer by hand.
 """
 
 import datetime as dt
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -13,9 +14,13 @@ import pytest
 
 from ehrseq import evaluation
 from ehrseq.corpus import Event, PatientHistory, build_vocabulary, filter_corpus, group_visits
-from ehrseq.encoder import EncoderModel, ModelConfig, predict_next_distribution
+from ehrseq.encoder import (
+    INFER_CHUNK,
+    EncoderModel,
+    ModelConfig,
+    predict_next_distribution_batch,
+)
 from ehrseq.evaluation import (
-    NEXT_CODE_CHUNK,
     CategoryMap,
     ModelNextCodePredictor,
     OracleNextCodePredictor,
@@ -154,24 +159,30 @@ class TestModelNextCodePredictor:
                                                n_heads=2, max_len=27, seed=6))
         prefixes = [PatientHistory(f"{p.patient_id}/{k}", p.gender, p.age_years, p.events[:k])
                     for p in corpus for k in (0, 1, 3, 7, 15, 30) if k <= len(p.events)]
-        order = np.random.default_rng(2).permutation(len(prefixes))[: NEXT_CODE_CHUNK + 40]
+        order = np.random.default_rng(2).permutation(len(prefixes))[: INFER_CHUNK + 40]
         prefixes = [prefixes[i] for i in order]
-        assert len(prefixes) == NEXT_CODE_CHUNK + 40
+        assert len(prefixes) == INFER_CHUNK + 40
         predictor = ModelNextCodePredictor(model, vocab)
-        chunks = []
-        batch_fn = evaluation.predict_next_distribution_batch
+        widths = []
+        forward = EncoderModel.forward
 
-        def spy(model, chunk, vocab):
-            chunks.append([len(p.events) for p in chunk])
-            return batch_fn(model, chunk, vocab)
+        def spy(self, ids, attn, *args, **kwargs):
+            widths.append(ids.shape)
+            return forward(self, ids, attn, *args, **kwargs)
 
-        monkeypatch.setattr(evaluation, "predict_next_distribution_batch", spy)
+        monkeypatch.setattr(EncoderModel, "forward", spy)
         batched = predictor.predict_batch(prefixes)
         monkeypatch.undo()
-        # two forwards over length-sorted chunks
-        assert [len(c) for c in chunks] == [NEXT_CODE_CHUNK, 40]
-        assert max(chunks[0]) <= min(chunks[1])
+        # two forwards over length-sorted chunks: the short rows pad to their own width
+        assert [b for b, _ in widths] == [INFER_CHUNK, 40]
+        assert widths[0][1] < widths[1][1]
         assert batched == [predictor(p) for p in prefixes]
+
+    def test_no_prefixes(self, corpus):
+        vocab = build_vocabulary(corpus)
+        model = EncoderModel.build(ModelConfig(vocab_size=len(vocab), d=16, n_layers=1,
+                                               n_heads=2, max_len=27, seed=6))
+        assert ModelNextCodePredictor(model, vocab).predict_batch([]) == []
 
 
 class TestCategoryMap:
@@ -327,11 +338,15 @@ class TestModelCategoryScorer:
         prefix = PatientHistory("q", "F", 50, patients[0].events[:4])
         scores = scorer([prefix])
         npt.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-6)
-        dist = predict_next_distribution(model, prefix, vocab)
+        dist = predict_next_distribution_batch(model, [prefix], vocab)[0]
         expected = np.zeros(cat_map.n_categories)
         for tid in vocab.icd_ids:
             expected[cat_map.category_of(vocab.token(tid))] += dist[tid]
         npt.assert_allclose(scores[0], expected, atol=1e-9)
+
+    def test_no_prefixes(self, scorer_setup):
+        _, vocab, cat_map, model = scorer_setup
+        assert model_category_scorer(model, vocab, cat_map)([]).shape == (0, cat_map.n_categories)
 
     def test_runs_through_harness(self, scorer_setup):
         patients, vocab, cat_map, model = scorer_setup
@@ -374,7 +389,6 @@ class TestAblationSuite:
 
     def test_training_failure_is_contained(self, ablation_setup):
         patients, vocab, config = ablation_setup
-        from dataclasses import replace
         bad = replace(config, lr=1e12, clip_norm=1e12)
         with np.errstate(over="ignore", invalid="ignore"):
             rep = ablation_suite(patients, vocab, bad, poolings=("cls",),
@@ -398,6 +412,18 @@ class TestAblationSuite:
         monkeypatch.setattr(evaluation, "train_encoder", lambda *a, **kw: trained.append(1))
         with pytest.raises(ValueError, match="probe_lambda"):
             ablation_suite(patients, vocab, config, poolings=("cls",), probe_lambda=probe_lambda)
+        assert trained == []
+
+    def test_repeated_patient_id_rejected_before_training(self, ablation_setup, monkeypatch):
+        # the probe finds each patient's embedding row by id; a repeated id
+        # would hand one patient's row to both
+        patients, vocab, config = ablation_setup
+        usable = [p for p in patients if len(group_visits(p)) >= 2]
+        patients = usable[:3] + [replace(usable[3], patient_id=usable[0].patient_id)] + usable[4:]
+        trained = []
+        monkeypatch.setattr(evaluation, "train_encoder", lambda *a, **kw: trained.append(1))
+        with pytest.raises(ValueError, match="unique"):
+            ablation_suite(patients, vocab, config, poolings=("cls",))
         assert trained == []
 
     def test_probe_lambda_grid_is_deterministic_and_in_range(self, ablation_setup):
