@@ -408,12 +408,13 @@ def ablation_suite(
 ) -> EvalReport:
     """Train and compare encoder/pooling variants on next-visit Precision@k.
 
-    Encoders are trained once per (positional, gender_age) cell and shared
-    by the pooling strategies. Each variant embeds the pre-final-visit
-    prefix of every patient and is scored through a per-fold ridge probe on
-    the final visit's category indicators. ``probe_lambda`` may be a single
-    penalty or a candidate grid tuned per fold, so poolings of different
-    dimension each get an appropriate amount of shrinkage. A variant that
+    Encoders are trained once per (positional, gender_age) cell, on the
+    pre-final-visit prefix of every patient, and shared by the pooling
+    strategies. Each variant embeds the same prefixes and is scored through
+    a per-fold ridge probe on the final visit's category indicators, which
+    no encoder has seen. ``probe_lambda`` may be a single penalty or a
+    candidate grid tuned per fold, so poolings of different dimension each
+    get an appropriate amount of shrinkage. A variant that
     fails to train is reported under ``errors`` while the rest of the grid
     continues.
     """
@@ -445,8 +446,9 @@ def ablation_suite(
             cfg = replace(base_config, use_positional=use_pos, use_gender_age=use_ga, seed=seed)
             try:
                 model = EncoderModel.build(cfg, vocab_sha256=vocab.sha256())
+                # train on the prefixes only: the final visits are the probe's targets
                 samples = [encode_history(p, vocab, H=cfg.H, use_gender_age=cfg.use_gender_age)
-                           for p in usable]
+                           for p in prefixes]
                 train_encoder(model, samples, log=log)
                 pooled = embed_batch(model, prefixes, vocab, poolings)
             except Exception as exc:  # keep the remaining grid alive

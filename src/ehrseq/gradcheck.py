@@ -192,6 +192,28 @@ def _build_cases(seed: int) -> dict[str, list[tuple[dict[str, Tensor], Callable[
     w_ws = w((3, 4))
     cases["weighted_sum"] = [(ws1, lambda p: T.weighted_sum(p["x"], w_ws))]
 
+    li1 = _case_inputs(rng, x=(2, 3, 4), w=(4, 5), b=(5,))
+    w_li = w((2, 3, 5))
+    cases["linear"] = [
+        (li1, lambda p: T.weighted_sum(T.linear(p["x"], p["w"], p["b"]), w_li))
+    ]
+
+    at1 = _case_inputs(rng, q=(2, 5, 4), k=(2, 5, 4), v=(2, 5, 4))
+    w_at = w((2, 5, 4))
+    at_bias = np.zeros((2, 1, 1, 5))
+    at_bias[1, ..., 4] = -1e9  # a PAD key in the second row
+
+    def attention_dropout_loss(p):
+        # Fresh generator per call so finite differencing sees the same mask.
+        mask_rng = np.random.default_rng(1234)
+        out = T.attention(p["q"], p["k"], p["v"], at_bias, 2, 0.3, train=True, rng=mask_rng)
+        return T.weighted_sum(out, w_at)
+
+    cases["attention"] = [
+        (at1, lambda p: T.weighted_sum(T.attention(p["q"], p["k"], p["v"], at_bias, 2), w_at)),
+        (at1, attention_dropout_loss),
+    ]
+
     return cases
 
 

@@ -13,8 +13,20 @@ Every op keeps its inputs' dtype, so a float32 model runs float32 end to end:
 embedding lookup, forward, loss and gradients. Constants inside ops are
 Python floats for this reason. :func:`matmul` with a 2-D right operand (a
 weight matrix) folds the left operand's leading axes into rows and runs one
-2-D GEMM forward and one for each gradient; batched right operands (attention
-products) use numpy's batched matmul.
+2-D GEMM forward and one for each gradient; batched right operands use
+numpy's batched matmul.
+
+Two fused primitives cut the per-op cost (a Tensor, a closure and a finite
+check each) of an encoder forward: :func:`linear` is the weight GEMM of
+:func:`matmul` plus an in-place bias add, and :func:`attention` does the head
+split, scaled scores, additive bias, softmax, dropout and head merge in one
+node. Each runs the numpy calls of the composition it replaces, in the same
+order, so outputs and gradients are bitwise those of the unfused ops. Both
+check their output; :func:`attention` also checks its scores after the bias
+add, because the softmax would turn a -inf score into a silent zero weight.
+:func:`scale`, :func:`reshape`, :func:`transpose` and :func:`softmax` stay as
+building blocks for other compositions and as the reference the fused ops are
+tested against.
 
 Typical use::
 
@@ -177,6 +189,47 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
+def _gemm(a: Tensor, w: Tensor) -> tuple[np.ndarray, np.ndarray]:
+    """``a @ w`` for a 2-D weight as one 2-D GEMM over a's leading axes folded
+    into rows; returns the folded ``a`` (the weight gradient needs it) and the
+    product. numpy's batched matmul would run one GEMM per leading index for
+    the weight gradient and sum them in :func:`_unbroadcast`."""
+    a2 = a.data.reshape(-1, a.shape[-1])
+    return a2, (a2 @ w.data).reshape(a.shape[:-1] + w.shape[-1:])
+
+
+def _gemm_grads(a: Tensor, a2: np.ndarray, w: Tensor, g: np.ndarray):
+    g2 = g.reshape(-1, g.shape[-1])
+    ga = (g2 @ w.data.T).reshape(a.shape) if a.requires_grad else None
+    gw = a2.T @ g2 if w.requires_grad else None
+    return ga, gw
+
+
+def _softmax(x: np.ndarray, axis: int) -> np.ndarray:
+    y = x - x.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
+    return y
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray, axis: int) -> np.ndarray:
+    gx = g - (g * y).sum(axis=axis, keepdims=True)
+    gx *= y
+    return gx
+
+
+def _dropout_keep(op: str, shape, dtype, p: float, train: bool,
+                  rng: np.random.Generator | None) -> np.ndarray | None:
+    """Inverted-dropout multiplier (0 or 1/(1-p)), or None when inactive."""
+    if not (0.0 <= p < 1.0):
+        raise TensorError(f"{op}: p must be in [0, 1), got {p}")
+    if not train or p == 0.0:
+        return None
+    if rng is None:
+        raise TensorError(f"{op}: active dropout needs an rng")
+    return (rng.random(shape) >= p).astype(dtype) / (1.0 - p)
+
+
 # ---------------------------------------------------------------------------
 # Primitives
 # ---------------------------------------------------------------------------
@@ -211,19 +264,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise TensorError(f"matmul: inner dimensions differ, {a.shape} @ {b.shape}")
     if b.ndim == 2:
-        # a weight product: fold a's leading axes into rows so that forward and each
-        # gradient are one 2-D GEMM; the batched path below would run one GEMM per
-        # leading index for gb and sum them in _unbroadcast
-        a2 = a.data.reshape(-1, a.shape[-1])
-        out = (a2 @ b.data).reshape(a.shape[:-1] + b.shape[-1:])
-
-        def bwd_2d(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            ga = (g2 @ b.data.T).reshape(a.shape) if a.requires_grad else None
-            gb = a2.T @ g2 if b.requires_grad else None
-            return (ga, gb)
-
-        return _emit("matmul", out, (a, b), bwd_2d)
+        a2, out = _gemm(a, b)
+        return _emit("matmul", out, (a, b), lambda g: _gemm_grads(a, a2, b, g))
     out = np.matmul(a.data, b.data)
 
     def bwd(g):
@@ -235,6 +277,84 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return (ga, gb)
 
     return _emit("matmul", out, (a, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` for a 2-D weight and a bias vector: :func:`matmul`'s weight
+    GEMM and :func:`add`'s sum as one op, the bias added in place."""
+    if w.ndim != 2 or x.shape[-1:] != w.shape[:1]:
+        raise TensorError(f"linear: cannot multiply {x.shape} by weight {w.shape}")
+    if b.shape != w.shape[1:]:
+        raise TensorError(f"linear: bias {b.shape} does not match weight {w.shape}")
+    x2, out = _gemm(x, w)
+    out += b.data
+
+    def bwd(g):
+        gx, gw = _gemm_grads(x, x2, w, g)
+        return (gx, gw, _unbroadcast(g, b.shape) if b.requires_grad else None)
+
+    return _emit("linear", out, (x, w, b), bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: np.ndarray, n_heads: int,
+              p: float = 0.0, train: bool = False,
+              rng: np.random.Generator | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention over (B, L, d) projections.
+
+    Splits d into ``n_heads`` heads, scores ``q kᵀ / sqrt(d_head) + bias`` (a
+    constant array broadcasting to (B, n_heads, L, L), such as a (B, 1, 1, L)
+    PAD mask in the projections' dtype), takes the softmax over keys, applies
+    inverted dropout with rate ``p`` to the probabilities when ``train``, and
+    merges the heads' context vectors back to (B, L, d).
+    """
+    if q.ndim != 3 or k.shape != q.shape or v.shape != q.shape:
+        raise TensorError(f"attention: q, k, v must share one (B, L, d) shape, got "
+                          f"{q.shape}, {k.shape}, {v.shape}")
+    B, L, d = q.shape
+    if n_heads < 1 or d % n_heads:
+        raise TensorError(f"attention: d={d} does not split into {n_heads} heads")
+    dh = d // n_heads
+    c = 1.0 / math.sqrt(dh)
+
+    def split(t: Tensor) -> np.ndarray:  # (B, L, d) -> (B, heads, L, d_head) view
+        return t.data.reshape(B, L, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(t: np.ndarray) -> np.ndarray:  # (B, heads, L, d_head) -> (B, L, d)
+        return t.transpose(0, 2, 1, 3).reshape(B, L, d)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    scores *= c
+    try:
+        scores += bias
+    except ValueError as exc:
+        raise TensorError(f"attention: bias {np.shape(bias)} does not broadcast to "
+                          f"scores {scores.shape}") from exc
+    if not np.isfinite(scores).all():
+        raise TensorError("attention: non-finite values in scores")
+    probs = _softmax(scores, -1)
+    keep = _dropout_keep("attention", probs.shape, probs.dtype, p, train, rng)
+    dropped = probs if keep is None else probs * keep
+    out = merge(np.matmul(dropped, vh))
+
+    def bwd(g):
+        gq = gk = gv = None
+        gc = g.reshape(B, L, n_heads, dh).transpose(0, 2, 1, 3)
+        if v.requires_grad:
+            gv = merge(np.matmul(dropped.swapaxes(-1, -2), gc))
+        if q.requires_grad or k.requires_grad:
+            gs = np.matmul(gc, vh.swapaxes(-1, -2))
+            if keep is not None:
+                gs *= keep
+            gs = _softmax_grad(probs, gs, -1)
+            gs *= c
+            if q.requires_grad:
+                gq = merge(np.matmul(gs, kh))
+            if k.requires_grad:
+                gk = merge(np.matmul(qh.swapaxes(-1, -2), gs).transpose(0, 1, 3, 2))
+        return (gq, gk, gv)
+
+    return _emit("attention", out, (q, k, v), bwd)
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -278,9 +398,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise TensorError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match feature dim {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / d is what ndarray.mean runs, without its Python wrapper
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     ivar = 1.0 / np.sqrt(var + eps)
     xhat = xc * ivar
     out = xhat * gamma.data + beta.data
@@ -295,8 +416,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
             dxhat = g * gamma.data
             gx = ivar * (
                 dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+                - dxhat.sum(axis=-1, keepdims=True) / d
+                - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
             )
         return (gx, ggamma, gbeta)
 
@@ -315,25 +436,19 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _softmax(x.data, axis)
 
     def bwd(g):
-        return (y * (g - (g * y).sum(axis=axis, keepdims=True)),)
+        return (_softmax_grad(y, g, axis),)
 
     return _emit("softmax", y, (x,), bwd)
 
 
 def dropout(x: Tensor, p: float, train: bool, rng: np.random.Generator | None = None) -> Tensor:
     """Inverted dropout; identity (the same tensor) when inactive."""
-    if not (0.0 <= p < 1.0):
-        raise TensorError(f"dropout: p must be in [0, 1), got {p}")
-    if not train or p == 0.0:
+    keep = _dropout_keep("dropout", x.shape, x.data.dtype, p, train, rng)
+    if keep is None:
         return x
-    if rng is None:
-        raise TensorError("dropout: active dropout needs an rng")
-    keep = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
     out = x.data * keep
 
     def bwd(g):

@@ -231,6 +231,111 @@ class TestForward:
         assert res.passed, f"worst {res.worst_param}: {res.max_rel_error:.2e}"
 
 
+def unfused_forward(model, input_ids, attention_mask, train=False, rng=None):
+    """EncoderModel.forward composed from the unfused primitives: a head split,
+    scaled scores, PAD bias, softmax and merge per layer, and a separate bias
+    add after every weight product. The reference the fused ops must match."""
+    cfg, p = model.config, model.params
+    B, L = input_ids.shape
+    drop = cfg.dropout if train else 0.0
+    h = T.embedding_lookup(p["tok_emb"], input_ids)
+    h = T.add(h, T.embedding_lookup(p["pos_emb"], np.arange(L)))
+    h = T.layer_norm(h, p["emb_ln_g"], p["emb_ln_b"])
+    h = T.dropout(h, drop, train, rng)
+    neg = ((1 - attention_mask) * -1e9).astype(np.float32).reshape(B, 1, 1, L)
+    attn_bias = T.constant(neg)
+    for i in range(cfg.n_layers):
+        def heads(name):
+            x = T.add(T.matmul(h, p[f"l{i}.attn_w{name}"]), p[f"l{i}.attn_b{name}"])
+            x = T.reshape(x, (B, L, cfg.n_heads, cfg.d_head))
+            return T.transpose(x, (0, 2, 1, 3))
+
+        q, k, v = heads("q"), heads("k"), heads("v")
+        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(cfg.d_head))
+        probs = T.dropout(T.softmax(T.add(scores, attn_bias), axis=-1), drop, train, rng)
+        ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (B, L, cfg.d))
+        attn_out = T.add(T.matmul(ctx, p[f"l{i}.attn_wo"]), p[f"l{i}.attn_bo"])
+        attn_out = T.dropout(attn_out, drop, train, rng)
+        h = T.layer_norm(T.add(h, attn_out), p[f"l{i}.ln1_g"], p[f"l{i}.ln1_b"])
+        inner = T.gelu(T.add(T.matmul(h, p[f"l{i}.ffn_w1"]), p[f"l{i}.ffn_b1"]))
+        ffn_out = T.add(T.matmul(inner, p[f"l{i}.ffn_w2"]), p[f"l{i}.ffn_b2"])
+        ffn_out = T.dropout(ffn_out, drop, train, rng)
+        h = T.layer_norm(T.add(h, ffn_out), p[f"l{i}.ln2_g"], p[f"l{i}.ln2_b"])
+    return h, T.add(T.matmul(h, p["dec_w"]), p["dec_b"])
+
+
+class TestFusedForward:
+    @pytest.fixture(scope="class")
+    def two_layer(self, tiny_setup):
+        _, vocab, _, _, samples = tiny_setup
+        cfg = ModelConfig.desk_scale(len(vocab), d=16, n_layers=2, n_heads=2, max_len=3 + 24)
+        model = EncoderModel.build(cfg)
+        rng = np.random.default_rng(4)
+        for t in model.params.values():  # non-zero biases and gains, so every term counts
+            t.data += (0.1 * rng.standard_normal(t.shape)).astype(np.float32)
+        rows = sorted(samples[:12], key=lambda s: s.length)
+        batch = mlm_mask(rows, 0.25, np.random.default_rng(5), cfg.vocab_size)
+        assert (batch.attention_mask == 0).any(axis=1).sum() >= 6  # rows with a PAD tail
+        return model, batch
+
+    @pytest.mark.parametrize("train_mode", [False, True], ids=["eval", "train"])
+    def test_bitwise_equal_to_the_unfused_composition(self, two_layer, train_mode):
+        model, batch = two_layer
+        runs = []
+        for forward in (model.forward, lambda *a, **kw: unfused_forward(model, *a, **kw)):
+            with Tape() as tape:
+                hidden, logits = forward(batch.input_ids, batch.attention_mask, train=train_mode,
+                                         rng=np.random.default_rng(11))
+                loss = T.cross_entropy(logits, batch.labels, ignore_index=IGNORE_INDEX)
+            grads = T.backward(loss, tape, params=model.params.values())
+            runs.append((hidden.data, logits.data, loss.data,
+                         {k: grads[t] for k, t in model.params.items()}))
+        (h1, lg1, l1, g1), (h2, lg2, l2, g2) = runs
+        npt.assert_array_equal(h1, h2)
+        npt.assert_array_equal(lg1, lg2)
+        assert l1.tobytes() == l2.tobytes()
+        for name in g1:
+            assert g1[name].tobytes() == g2[name].tobytes(), name
+        with Tape():
+            loss = model.mlm_loss(batch, train=train_mode, rng=np.random.default_rng(11))
+        assert loss.data.tobytes() == l1.tobytes()
+
+    def test_op_counts(self, two_layer):
+        model, batch = two_layer
+        ids, attn = batch.input_ids, batch.attention_mask
+        with Tape() as fused:
+            model.forward(ids, attn, decode=False)
+        with Tape() as unfused:
+            unfused_forward(model, ids, attn)
+        # the unfused reference always decodes: two more ops than decode=False
+        assert (len(fused), len(unfused) - 2) == (28, 66)
+        with Tape() as fused:
+            model.mlm_loss(batch, train=True, rng=np.random.default_rng(0))
+        with Tape() as unfused:
+            _, logits = unfused_forward(model, ids, attn, train=True, rng=np.random.default_rng(0))
+            T.cross_entropy(logits, batch.labels, ignore_index=IGNORE_INDEX)
+        assert (len(fused), len(unfused)) == (36, 76)
+        assert {n.op for n in fused.nodes} == {
+            "embedding_lookup", "add", "layer_norm", "dropout", "linear", "attention", "gelu",
+            "matmul", "cross_entropy"}
+
+    def test_overflowing_scores_are_caught_by_attention(self, two_layer):
+        model, batch = two_layer
+        m = model.astype(np.float32)
+        m.params["l0.attn_wq"].data *= 1e22
+        m.params["l0.attn_wk"].data *= 1e22
+        with np.errstate(over="ignore"), pytest.raises(
+                T.TensorError, match="^attention: non-finite values in scores"):
+            m.forward(batch.input_ids, batch.attention_mask)
+
+    def test_nan_weight_is_caught_by_linear(self, two_layer):
+        model, batch = two_layer
+        m = model.astype(np.float32)
+        m.params["l1.ffn_w1"].data[0, 0] = np.nan
+        with pytest.raises(T.TensorError, match="^linear: non-finite values"):
+            m.forward(batch.input_ids, batch.attention_mask)
+
+
 class TestDtype:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_model_dtype_holds_from_lookup_to_gradients(self, tiny_setup, dtype):

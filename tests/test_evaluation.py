@@ -426,6 +426,27 @@ class TestAblationSuite:
             ablation_suite(patients, vocab, config, poolings=("cls",))
         assert trained == []
 
+    def test_encoders_never_train_on_a_final_visit(self, ablation_setup, monkeypatch):
+        # the probe's targets are the final visits, so the encoder must not see them
+        patients, vocab, config = ablation_setup
+        seen = []
+        monkeypatch.setattr(evaluation, "train_encoder",
+                            lambda model, samples, **kw: seen.append(samples))
+        ablation_suite(patients, vocab, config, poolings=("cls",), positional=(True,),
+                       gender_age=(True,), ks=(5,), folds=4, seed=2)
+        usable = [p for p in patients if len(group_visits(p)) >= 2]
+        [samples] = seen
+        assert len(samples) == len(usable)
+        leaked = checked = 0
+        for p, s in zip(usable, samples):
+            visits = group_visits(p)
+            earlier = {c for v in visits[:-1] for c in v.codes}
+            final_only = {vocab.code_id(c) for c in visits[-1].codes} - {
+                vocab.code_id(c) for c in earlier}
+            checked += len(final_only)
+            leaked += len(final_only & set(s.token_ids[3 : s.length].tolist()))
+        assert checked > 20 and leaked == 0
+
     def test_probe_lambda_grid_is_deterministic_and_in_range(self, ablation_setup):
         patients, vocab, config = ablation_setup
         kwargs = dict(poolings=("cls",), positional=(True,), gender_age=(True,),
