@@ -1,8 +1,11 @@
 """Command-line entry points for the whole pipeline.
 
-Every subcommand accepts --seed, --config (flat key=value file) and --out,
-and prints exactly one JSON summary line on success. Config-file values act
-as defaults; explicit command-line flags win.
+Every subcommand accepts --config (flat key=value file) and prints exactly
+one JSON summary line on success. Config-file values act as defaults; explicit
+command-line flags win. A subcommand takes only the flags its handler reads:
+--seed goes to gen-data, train, eval-visits and ablate; --out goes to gen-data,
+filter, build-vocab, train, embed, risk-curve, export-vectors, score-train and
+score-eval.
 """
 
 from __future__ import annotations
@@ -89,8 +92,6 @@ def _model_config(args, vocab_size: int) -> encoder.ModelConfig:
         value = getattr(args, field_name, None)
         if value is not None:
             overrides[field_name] = value
-    if args.no_positional:
-        overrides["use_positional"] = False
     if args.seed is not None:
         overrides["seed"] = args.seed
     return replace(cfg, **overrides) if overrides else cfg
@@ -167,7 +168,8 @@ def cmd_build_vocab(args) -> dict:
 def cmd_train(args) -> dict:
     patients = _load_patients(args.patients)
     vocab = corpus.Vocabulary.load(args.vocab)
-    cfg = replace(_model_config(args, len(vocab)), use_gender_age=not args.no_gender_age)
+    cfg = replace(_model_config(args, len(vocab)), use_positional=not args.no_positional,
+                  use_gender_age=not args.no_gender_age)
     model = encoder.EncoderModel.build(cfg, vocab_sha256=vocab.sha256())
     samples = [corpus.encode_history(p, vocab, H=cfg.H, use_gender_age=cfg.use_gender_age)
                for p in patients]
@@ -414,11 +416,13 @@ def cmd_serve(args) -> dict:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--seed", type=int, default=None, help="random seed")
-    shared.add_argument("--config", default=None,
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", default=None,
                         help="flat key=value file of defaults for this subcommand")
-    shared.add_argument("--out", default=None, help="output file or directory")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="random seed")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="output file or directory")
 
     model_opts = argparse.ArgumentParser(add_help=False)
     model_opts.add_argument("--desk-scale", action="store_true",
@@ -432,7 +436,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     model_opts.add_argument("--lr", type=float, default=None)
     model_opts.add_argument("--mask-prob", type=float, default=None)
     model_opts.add_argument("--dropout", type=float, default=None)
-    model_opts.add_argument("--no-positional", action="store_true")
 
     parser = argparse.ArgumentParser(
         prog="ehrseq",
@@ -441,13 +444,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
 
-    def add(name, handler, parents=(shared,), **kwargs):
-        p = sub.add_parser(name, parents=list(parents), **kwargs)
+    def add(name, handler, parents=(), **kwargs):
+        p = sub.add_parser(name, parents=[config, *parents], **kwargs)
         p.set_defaults(handler=handler)
         commands[name] = p
         return p
 
-    p = add("gen-data", cmd_gen_data, help="generate a synthetic corpus")
+    p = add("gen-data", cmd_gen_data, parents=(seed, out), help="generate a synthetic corpus")
     p.add_argument("--patients", type=_positive_int, default=5000)
     p.add_argument("--codes", type=_positive_int, default=200)
     p.add_argument("--mean-events", type=float, default=10.0)
@@ -457,18 +460,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--risk-groups", default="I25,I21,I20",
                    help="comma-separated code prefixes carrying claim risk")
 
-    p = add("filter", cmd_filter, help="drop rare codes and short histories")
+    p = add("filter", cmd_filter, parents=(out,), help="drop rare codes and short histories")
     p.add_argument("--patients", required=True)
     p.add_argument("--min-code-freq", type=_positive_int, default=5)
     p.add_argument("--min-events", type=_positive_int, default=2)
 
-    p = add("build-vocab", cmd_build_vocab, help="build the token vocabulary")
+    p = add("build-vocab", cmd_build_vocab, parents=(out,), help="build the token vocabulary")
     p.add_argument("--patients", required=True)
 
-    p = add("train", cmd_train, parents=(shared, model_opts),
+    p = add("train", cmd_train, parents=(seed, out, model_opts),
             help="train the masked-language-model encoder")
     p.add_argument("--patients", required=True)
     p.add_argument("--vocab", required=True)
+    p.add_argument("--no-positional", action="store_true")
     p.add_argument("--no-gender-age", action="store_true")
     p.add_argument("--verbose", action="store_true")
 
@@ -480,7 +484,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
                    default="model")
     p.add_argument("--thresholds", type=_int_list, default=[4, 8])
 
-    p = add("eval-visits", cmd_eval_visits, help="next-visit category precision@k")
+    p = add("eval-visits", cmd_eval_visits, parents=(seed,), help="next-visit category precision@k")
     p.add_argument("--patients", required=True)
     p.add_argument("--vocab")
     p.add_argument("--model")
@@ -489,7 +493,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--ks", type=_int_list, default=[5, 10, 20, 30])
     p.add_argument("--folds", type=_positive_int, default=10)
 
-    p = add("ablate", cmd_ablate, parents=(shared, model_opts),
+    p = add("ablate", cmd_ablate, parents=(seed, model_opts),
             help="pooling/positional/demographic ablation grid")
     p.add_argument("--patients", required=True)
     p.add_argument("--vocab", required=True)
@@ -500,7 +504,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--folds", type=_positive_int, default=10)
     p.add_argument("--verbose", action="store_true")
 
-    p = add("embed", cmd_embed, help="export pooled patient embeddings as TSV")
+    p = add("embed", cmd_embed, parents=(out,), help="export pooled patient embeddings as TSV")
     p.add_argument("--patients", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--model", required=True)
@@ -512,21 +516,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--model", required=True)
     p.add_argument("--query", required=True)
     p.add_argument("--top-n", type=_positive_int, default=10)
-    p.add_argument("--restrict", choices=("icd", "age", "gender", "any"), default="any")
+    p.add_argument("--restrict", choices=embedding.RESTRICT_CLASSES, default="any")
 
-    p = add("risk-curve", cmd_risk_curve, help="next-code group probability by age")
+    p = add("risk-curve", cmd_risk_curve, parents=(out,), help="next-code group probability by age")
     p.add_argument("--vocab", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--group", type=_str_list, required=True,
                    help="a code prefix (e.g. I25) or comma-separated full codes")
     p.add_argument("--gender", choices=corpus.GENDERS, default=None)
 
-    p = add("export-vectors", cmd_export_vectors, help="export the static token table as TSV")
+    p = add("export-vectors", cmd_export_vectors, parents=(out,),
+            help="export the static token table as TSV")
     p.add_argument("--vocab", required=True)
     p.add_argument("--model", required=True)
     p.add_argument("--restrict", choices=corpus.TOKEN_KINDS + ("any",), default="any")
 
-    p = add("score-train", cmd_score_train, help="fit the insurance risk scorer")
+    p = add("score-train", cmd_score_train, parents=(out,), help="fit the insurance risk scorer")
     p.add_argument("--insurance", required=True)
     p.add_argument("--scheme", choices=("base", "replacement"), default="base")
     p.add_argument("--val-months", type=_positive_int, default=3)
@@ -535,7 +540,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--model", help="encoder checkpoint (replacement scheme)")
     p.add_argument("--strategy", choices=embedding.POOLING_STRATEGIES, default="mean")
 
-    p = add("score-eval", cmd_score_eval, help="monthly AUC of a fitted scorer")
+    p = add("score-eval", cmd_score_eval, parents=(out,), help="monthly AUC of a fitted scorer")
     p.add_argument("--scorer", required=True)
     p.add_argument("--insurance", required=True)
     p.add_argument("--vocab")

@@ -15,8 +15,10 @@ File formats (one JSON object per line):
 
 * patients:  ``{"patient_id", "gender": "M"|"F", "age", "events":
   [{"date": "YYYY-MM-DD", "icd": str}, ...]}``
-* insurance: ``{"app_id", "month", "gender", "age", "anamnesis": [str],
-  "policy": {str: str}, "claim": 0|1}``
+* insurance: ``{"app_id": str, "month": int >= 0, "gender", "age": 0..130,
+  "anamnesis": [str], "policy": {str: str}, "claim": 0|1}``; anamnesis and
+  policy may be left out. :func:`parse_application` checks each field, and a
+  ``/score`` request is the same object without month and claim.
 * vocabulary: header line ``ehrseq-vocab v1 <count>`` followed by one
   ``token<TAB>count`` line per id, in id order.
 """
@@ -243,12 +245,10 @@ def _parse_patient(obj: dict) -> PatientHistory:
     )
 
 
-def ingest_corpus(path: str | Path, strict: bool = False) -> IngestResult:
-    """Read a JSONL patient corpus file; malformed lines are skipped and counted.
-
-    With ``strict=True`` the first malformed line raises instead.
-    """
-    patients: list[PatientHistory] = []
+def _read_jsonl(path: str | Path, parse, what: str, strict: bool) -> tuple[list, int, list[str]]:
+    """Parse each non-blank line of a JSONL file; malformed lines are skipped and
+    counted, with the first 10 messages kept, or raise at once with ``strict``."""
+    items = []
     skipped = 0
     errors: list[str] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -257,75 +257,107 @@ def ingest_corpus(path: str | Path, strict: bool = False) -> IngestResult:
             if not line:
                 continue
             try:
-                patients.append(_parse_patient(json.loads(line)))
+                items.append(parse(json.loads(line)))
             except (json.JSONDecodeError, KeyError, ValueError, TypeError, InvalidCodeError) as exc:
                 if strict:
-                    raise ValueError(f"{path}:{lineno}: malformed patient record: {exc}") from exc
+                    raise ValueError(f"{path}:{lineno}: malformed {what} record: {exc}") from exc
                 skipped += 1
                 if len(errors) < 10:
                     errors.append(f"line {lineno}: {exc}")
-    return IngestResult(patients, skipped, errors)
+    return items, skipped, errors
 
 
-def write_patients_jsonl(patients: Iterable[PatientHistory], path: str | Path) -> int:
+def _write_jsonl(objs: Iterable[dict], path: str | Path) -> int:
     n = 0
     with atomic_write(path) as fh:
-        for p in patients:
-            obj = {
-                "patient_id": p.patient_id,
-                "gender": p.gender,
-                "age": p.age_years,
-                "events": [{"date": e.date.isoformat(), "icd": e.code} for e in p.events],
-            }
+        for obj in objs:
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
             n += 1
     return n
 
 
+def ingest_corpus(path: str | Path, strict: bool = False) -> IngestResult:
+    """Read a JSONL patient corpus file; malformed lines are skipped and counted.
+
+    With ``strict=True`` the first malformed line raises instead.
+    """
+    return IngestResult(*_read_jsonl(path, _parse_patient, "patient", strict))
+
+
+def write_patients_jsonl(patients: Iterable[PatientHistory], path: str | Path) -> int:
+    return _write_jsonl(({
+        "patient_id": p.patient_id,
+        "gender": p.gender,
+        "age": p.age_years,
+        "events": [{"date": e.date.isoformat(), "icd": e.code} for e in p.events],
+    } for p in patients), path)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def parse_application(obj, labelled: bool = True) -> ApplicationRecord:
+    """Check one application object field by field; raises ``ValueError`` naming the field.
+
+    ``anamnesis`` and ``policy`` default to empty. A labelled record (a file
+    line) also needs ``month`` (an integer >= 0) and ``claim`` (0 or 1); an
+    unlabelled one (a scoring request) gets month 0 and claim 0.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError("body: expected a JSON object")
+    app_id = obj.get("app_id")
+    if not isinstance(app_id, str) or not app_id:
+        raise ValueError("app_id: expected a non-empty string")
+    gender = obj.get("gender")
+    if gender not in GENDERS:
+        raise ValueError(f"gender: expected one of {list(GENDERS)}")
+    age = obj.get("age")
+    if not _is_int(age) or not (0 <= age <= 130):
+        raise ValueError("age: expected an integer in [0, 130]")
+    anamnesis = obj.get("anamnesis", [])
+    if not isinstance(anamnesis, list) or not all(isinstance(c, str) for c in anamnesis):
+        raise ValueError("anamnesis: expected a list of strings")
+    codes = []
+    for i, raw in enumerate(anamnesis):
+        try:
+            codes.append(normalize_code(raw))
+        except InvalidCodeError as exc:
+            raise ValueError(f"anamnesis[{i}]: {exc}") from exc
+    policy = obj.get("policy", {})
+    if not isinstance(policy, dict) or not all(
+        isinstance(k, str) and isinstance(v, str) for k, v in policy.items()
+    ):
+        raise ValueError("policy: expected a string-to-string map")
+    month = claim = 0
+    if labelled:
+        month = obj.get("month")
+        if not _is_int(month) or month < 0:
+            raise ValueError("month: expected an integer >= 0")
+        claim = obj.get("claim")
+        if not _is_int(claim) or claim not in (0, 1):
+            raise ValueError("claim: expected 0 or 1")
+    return ApplicationRecord(app_id=app_id, month=month, gender=gender, age_years=age,
+                             anamnesis=codes, policy=dict(policy), claim=claim)
+
+
 def read_insurance_jsonl(path: str | Path, strict: bool = False) -> tuple[list[ApplicationRecord], int]:
-    records: list[ApplicationRecord] = []
-    skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                records.append(
-                    ApplicationRecord(
-                        app_id=str(obj["app_id"]),
-                        month=int(obj["month"]),
-                        gender=obj["gender"],
-                        age_years=int(obj["age"]),
-                        anamnesis=[normalize_code(c) for c in obj["anamnesis"]],
-                        policy={str(k): str(v) for k, v in obj["policy"].items()},
-                        claim=int(obj["claim"]),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError, InvalidCodeError) as exc:
-                if strict:
-                    raise ValueError(f"{path}:{lineno}: malformed application record: {exc}") from exc
-                skipped += 1
+    """Read a JSONL insurance file through :func:`parse_application`; malformed
+    lines are skipped and counted, or raise with ``strict=True``."""
+    records, skipped, _ = _read_jsonl(path, parse_application, "application", strict)
     return records, skipped
 
 
 def write_insurance_jsonl(records: Iterable[ApplicationRecord], path: str | Path) -> int:
-    n = 0
-    with atomic_write(path) as fh:
-        for r in records:
-            obj = {
-                "app_id": r.app_id,
-                "month": r.month,
-                "gender": r.gender,
-                "age": r.age_years,
-                "anamnesis": r.anamnesis,
-                "policy": r.policy,
-                "claim": r.claim,
-            }
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-            n += 1
-    return n
+    return _write_jsonl(({
+        "app_id": r.app_id,
+        "month": r.month,
+        "gender": r.gender,
+        "age": r.age_years,
+        "anamnesis": r.anamnesis,
+        "policy": r.policy,
+        "claim": r.claim,
+    } for r in records), path)
 
 
 # ---------------------------------------------------------------------------

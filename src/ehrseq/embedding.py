@@ -125,7 +125,7 @@ def patient_embedding(
 # Token-table neighbors
 # ---------------------------------------------------------------------------
 
-_RESTRICT_CLASSES = ("icd", "age", "gender", "any")
+RESTRICT_CLASSES = ("icd", "age", "gender", "any")
 
 
 def nearest_tokens(
@@ -140,8 +140,8 @@ def nearest_tokens(
     The query itself is excluded; zero-norm candidate rows are dropped with
     a warning since cosine similarity is undefined for them.
     """
-    if restrict not in _RESTRICT_CLASSES:
-        raise ValueError(f"restrict must be one of {_RESTRICT_CLASSES}, got {restrict!r}")
+    if restrict not in RESTRICT_CLASSES:
+        raise ValueError(f"restrict must be one of {RESTRICT_CLASSES}, got {restrict!r}")
     if query not in vocab.index:
         raise ValueError(f"query token {query!r} not in vocabulary")
     table = model.params["tok_emb"].data

@@ -29,8 +29,7 @@ from urllib.parse import parse_qs, urlparse
 import numpy as np
 
 from .container import artifact_hash
-from .corpus import GENDERS, ApplicationRecord
-from .icd import InvalidCodeError, normalize_code
+from .corpus import ApplicationRecord, parse_application
 from .scoring import (
     EmbeddingSource,
     SchemaError,
@@ -74,34 +73,11 @@ def _payload_hash(payload: dict) -> str:
 
 
 def parse_score_request(payload) -> ApplicationRecord:
-    """Validate a /score body field by field; raises 400-level errors."""
-    if not isinstance(payload, dict):
-        raise ServiceError(400, "body: expected a JSON object")
-    app_id = payload.get("app_id")
-    if not isinstance(app_id, str) or not app_id:
-        raise ServiceError(400, "app_id: expected a non-empty string")
-    gender = payload.get("gender")
-    if gender not in GENDERS:
-        raise ServiceError(400, f"gender: expected one of {list(GENDERS)}")
-    age = payload.get("age")
-    if not isinstance(age, int) or isinstance(age, bool) or not (0 <= age <= 130):
-        raise ServiceError(400, "age: expected an integer in [0, 130]")
-    anamnesis = payload.get("anamnesis", [])
-    if not isinstance(anamnesis, list) or not all(isinstance(c, str) for c in anamnesis):
-        raise ServiceError(400, "anamnesis: expected a list of strings")
-    codes = []
-    for i, raw in enumerate(anamnesis):
-        try:
-            codes.append(normalize_code(raw))
-        except InvalidCodeError as exc:
-            raise ServiceError(400, f"anamnesis[{i}]: {exc}") from exc
-    policy = payload.get("policy", {})
-    if not isinstance(policy, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in policy.items()
-    ):
-        raise ServiceError(400, "policy: expected a string-to-string map")
-    return ApplicationRecord(app_id=app_id, month=0, gender=gender, age_years=age,
-                             anamnesis=codes, policy=dict(policy), claim=0)
+    """Validate a /score body field by field; a bad field is a 400 naming it."""
+    try:
+        return parse_application(payload, labelled=False)
+    except ValueError as exc:
+        raise ServiceError(400, str(exc)) from exc
 
 
 class ScoringService:

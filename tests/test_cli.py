@@ -98,6 +98,61 @@ class TestErrorExits:
         assert "--out" in capsys.readouterr().err
 
 
+# the arguments each subcommand requires, so that only the flag under test can fail to parse
+REQUIRED = {
+    "filter": ["--patients", "p"],
+    "build-vocab": ["--patients", "p"],
+    "eval-next-code": ["--patients", "p"],
+    "eval-visits": ["--patients", "p"],
+    "ablate": ["--patients", "p", "--vocab", "v"],
+    "embed": ["--patients", "p", "--vocab", "v", "--model", "m"],
+    "neighbors": ["--vocab", "v", "--model", "m", "--query", "q"],
+    "risk-curve": ["--vocab", "v", "--model", "m", "--group", "I25"],
+    "export-vectors": ["--vocab", "v", "--model", "m"],
+    "score-train": ["--insurance", "i"],
+    "score-eval": ["--scorer", "s", "--insurance", "i"],
+    "psi": ["--scorer", "s"],
+    "serve": ["--scorer", "s"],
+}
+SEED_COMMANDS = {"gen-data", "train", "eval-visits", "ablate"}
+OUT_COMMANDS = {"gen-data", "filter", "build-vocab", "train", "embed", "risk-curve",
+                "export-vectors", "score-train", "score-eval"}
+
+
+class TestFlagsOnlyWhereRead:
+    """A subcommand accepts only the flags its handler reads."""
+
+    @pytest.mark.parametrize("command, flag", [
+        *(pytest.param(c, ["--seed", "1"], id=f"{c}-seed")
+          for c in sorted(set(REQUIRED) - SEED_COMMANDS)),
+        *(pytest.param(c, ["--out", "o"], id=f"{c}-out")
+          for c in sorted(set(REQUIRED) - OUT_COMMANDS)),
+        pytest.param("ablate", ["--no-positional"], id="ablate-no-positional"),
+    ])
+    def test_unread_flag_is_usage_error(self, command, flag):
+        parser, _ = cli.build_parser()
+        parser.parse_args([command, *REQUIRED[command]])
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, *REQUIRED[command], *flag])
+        assert exc.value.code == 2
+
+    def test_seed_and_out_are_declared_where_read(self):
+        _, commands = cli.build_parser()
+        declared = {name: {a.dest for a in p._actions} for name, p in commands.items()}
+        assert {c for c, dests in declared.items() if "seed" in dests} == SEED_COMMANDS
+        assert {c for c, dests in declared.items() if "out" in dests} == OUT_COMMANDS
+        assert all("config" in dests for dests in declared.values())
+        assert {c for c, dests in declared.items() if "no_positional" in dests} == {"train"}
+
+    def test_config_key_for_an_unread_flag_fails(self, tmp_path, capsys):
+        cfg = tmp_path / "embed.cfg"
+        cfg.write_text("seed=3\n")
+        code = cli.main(["embed", "--config", str(cfg), "--patients", "p", "--vocab", "v",
+                         "--model", "m", "--out", str(tmp_path / "e.tsv")])
+        assert code == 1
+        assert "unknown config key 'seed'" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """gen-data -> filter -> build-vocab -> train, shared by the later tests."""
@@ -333,6 +388,22 @@ class TestGenderAgeFlag:
         container.save_artifact(tmp_path / "old.ckpt", kind="encoder", meta=meta,
                                 arrays=arrays)
         assert encoder.load_checkpoint(tmp_path / "old.ckpt").config.use_gender_age is True
+
+
+class TestPositionalFlag:
+    def test_no_positional_is_stored_in_the_checkpoint(self, pipeline, tmp_path, capsys):
+        ckpt = tmp_path / "no_pos.ckpt"
+        code, _ = run(capsys, "train", "--patients", str(pipeline / "filtered.jsonl"),
+                      "--vocab", str(pipeline / "vocab.tsv"), "--desk-scale", "--d", "16",
+                      "--n-layers", "1", "--epochs", "1", "--max-len", "27",
+                      "--batch-size", "32", "--seed", "0", "--no-positional",
+                      "--out", str(ckpt))
+        assert code == 0
+        meta, _ = container.load_artifact(ckpt, kind="encoder")
+        assert meta["config"]["use_positional"] is False
+        assert meta["config"]["use_gender_age"] is True
+        meta, _ = container.load_artifact(pipeline / "encoder.ckpt", kind="encoder")
+        assert meta["config"]["use_positional"] is True
 
 
 class TestScoreEvalArtifacts:

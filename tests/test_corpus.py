@@ -253,6 +253,29 @@ class TestIngest:
         assert skipped == 0
         assert back == recs
 
+    def test_insurance_line_with_bad_fields_is_skipped(self, tmp_path):
+        line = {"app_id": 7, "month": 1, "gender": "U", "age": -40, "anamnesis": [],
+                "policy": {"region": 5}, "claim": 3}
+        path = tmp_path / "apps.jsonl"
+        path.write_text(json.dumps(line) + "\n")
+        assert C.read_insurance_jsonl(path) == ([], 1)
+
+    @pytest.mark.parametrize("month, claim, field", [
+        (-1, 0, "month"), ("1", 0, "month"), (None, 0, "month"), (1.0, 0, "month"),
+        (0, 3, "claim"), (0, True, "claim"), (0, None, "claim"), (0, "1", "claim"),
+    ])
+    def test_labelled_line_needs_month_and_claim(self, tmp_path, month, claim, field):
+        obj = {"app_id": "a1", "gender": "F", "age": 30, "month": month, "claim": claim}
+        obj = {k: v for k, v in obj.items() if v is not None}
+        path = tmp_path / "apps.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        assert C.read_insurance_jsonl(path) == ([], 1)
+        with pytest.raises(ValueError, match=f"malformed application record: {field}:"):
+            C.read_insurance_jsonl(path, strict=True)
+        # a scoring request carries neither field
+        rec = C.parse_application(obj, labelled=False)
+        assert (rec.month, rec.claim) == (0, 0)
+
 
 class TestFilterCorpus:
     def test_removes_rare_codes_and_short_histories(self):

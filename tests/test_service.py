@@ -21,7 +21,7 @@ import pytest
 import requests
 
 from ehrseq.container import ContainerError, artifact_hash, load_artifact, save_artifact
-from ehrseq.corpus import build_vocabulary, filter_corpus
+from ehrseq.corpus import build_vocabulary, filter_corpus, read_insurance_jsonl
 from ehrseq.embedding import average_group_embedding
 from ehrseq.encoder import EncoderModel, ModelConfig, save_checkpoint
 from ehrseq.scoring import (
@@ -45,6 +45,17 @@ from ehrseq.service import (
     read_query_log,
 )
 from ehrseq.synthetic import generate_synthetic_corpus, generate_synthetic_insurance
+
+
+# /score bodies with one bad field each, and the field the 400 must name
+MALFORMED_BODIES = [
+    ({"gender": "M", "age": 30}, "app_id"),
+    ({"app_id": "x", "gender": "X", "age": 30}, "gender"),
+    ({"app_id": "x", "gender": "M", "age": "old"}, "age"),
+    ({"app_id": "x", "gender": "M", "age": 300}, "age"),
+    ({"app_id": "x", "gender": "M", "age": 30, "anamnesis": ["NOPE"]}, "anamnesis[0]"),
+    ({"app_id": "x", "gender": "M", "age": 30, "policy": {"a": 1}}, "policy"),
+]
 
 
 def start(server):
@@ -103,15 +114,7 @@ class TestScoreEndpoint:
 
     def test_malformed_requests_get_field_level_400(self, base_stack):
         url, *_ = base_stack
-        cases = [
-            ({"gender": "M", "age": 30}, "app_id"),
-            ({"app_id": "x", "gender": "X", "age": 30}, "gender"),
-            ({"app_id": "x", "gender": "M", "age": "old"}, "age"),
-            ({"app_id": "x", "gender": "M", "age": 300}, "age"),
-            ({"app_id": "x", "gender": "M", "age": 30, "anamnesis": ["NOPE"]}, "anamnesis[0]"),
-            ({"app_id": "x", "gender": "M", "age": 30, "policy": {"a": 1}}, "policy"),
-        ]
-        for payload, field in cases:
+        for payload, field in MALFORMED_BODIES:
             resp = requests.post(url + "/score", json=payload)
             assert resp.status_code == 400, payload
             assert field in resp.json()["error"]
@@ -565,6 +568,18 @@ class TestParseScoreRequest:
         from ehrseq.service import ServiceError
         with pytest.raises(ServiceError):
             parse_score_request({"app_id": "a", "gender": "M", "age": True})
+
+    @pytest.mark.parametrize("payload, field", MALFORMED_BODIES)
+    def test_file_line_and_request_refuse_the_same_field(self, tmp_path, payload, field):
+        with pytest.raises(ServiceError) as exc:
+            parse_score_request(payload)
+        assert exc.value.status == 400 and exc.value.message.startswith(f"{field}:")
+        path = tmp_path / "apps.jsonl"
+        path.write_text(json.dumps({**payload, "month": 0, "claim": 0}) + "\n")
+        assert read_insurance_jsonl(path) == ([], 1)
+        with pytest.raises(ValueError) as exc:
+            read_insurance_jsonl(path, strict=True)
+        assert f"malformed application record: {field}:" in str(exc.value)
 
 
 class TestEncoderPin:
