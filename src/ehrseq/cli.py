@@ -71,14 +71,21 @@ def _coerce_config(pairs: dict[str, str], subparser: argparse.ArgumentParser) ->
 # ---------------------------------------------------------------------------
 
 
-def _load_patients(path: str) -> list[corpus.PatientHistory]:
-    result = corpus.ingest_corpus(path)
-    if result.skipped:
-        print(f"warning: skipped {result.skipped} malformed lines in {path}",
-              file=sys.stderr)
-    if not result.patients:
-        raise ValueError(f"no usable patients in {path}")
-    return result.patients
+def _load(path: str, what: str) -> list:
+    """Read a patient corpus (``what="patients"``) or an insurance file
+    (``"applications"``); for skipped lines, warn with their count and first reasons."""
+    if what == "patients":
+        result = corpus.ingest_corpus(path)
+        items, skipped, errors = result.patients, result.skipped, result.errors
+    else:
+        items, skipped, errors = corpus.read_insurance_jsonl(path)
+    if skipped:
+        print(f"warning: skipped {skipped} malformed lines in {path}", file=sys.stderr)
+        for reason in errors:
+            print(f"  {reason}", file=sys.stderr)
+    if not items:
+        raise ValueError(f"no usable {what} in {path}")
+    return items
 
 
 def _model_config(args, vocab_size: int) -> encoder.ModelConfig:
@@ -140,7 +147,7 @@ def cmd_gen_data(args) -> dict:
 
 
 def cmd_filter(args) -> dict:
-    patients = _load_patients(args.patients)
+    patients = _load(args.patients, "patients")
     kept, stats = corpus.filter_corpus(patients, min_code_freq=args.min_code_freq,
                                        min_events=args.min_events)
     corpus.write_patients_jsonl(kept, _require_out(args))
@@ -158,7 +165,7 @@ def cmd_filter(args) -> dict:
 
 
 def cmd_build_vocab(args) -> dict:
-    patients = _load_patients(args.patients)
+    patients = _load(args.patients, "patients")
     vocab = corpus.build_vocabulary(patients)
     vocab.save(_require_out(args))
     return {"command": "build-vocab", "size": len(vocab), "n_codes": vocab.n_icd,
@@ -166,7 +173,7 @@ def cmd_build_vocab(args) -> dict:
 
 
 def cmd_train(args) -> dict:
-    patients = _load_patients(args.patients)
+    patients = _load(args.patients, "patients")
     vocab = corpus.Vocabulary.load(args.vocab)
     cfg = replace(_model_config(args, len(vocab)), use_positional=not args.no_positional,
                   use_gender_age=not args.no_gender_age)
@@ -194,7 +201,7 @@ def _load_model_for(args, option: str) -> tuple[encoder.EncoderModel, corpus.Voc
 
 
 def cmd_eval_next_code(args) -> dict:
-    patients = _load_patients(args.patients)
+    patients = _load(args.patients, "patients")
     thresholds = args.thresholds
     if args.predictor == "model":
         model, vocab = _load_model_for(args, "--predictor model")
@@ -211,7 +218,7 @@ def cmd_eval_next_code(args) -> dict:
 
 
 def cmd_eval_visits(args) -> dict:
-    patients = _load_patients(args.patients)
+    patients = _load(args.patients, "patients")
     if args.scorer == "model":
         model, vocab = _load_model_for(args, "--scorer model")
         cat_map = evaluation.load_category_map(args.categories, vocab=vocab)
@@ -230,7 +237,7 @@ def cmd_eval_visits(args) -> dict:
 
 
 def cmd_ablate(args) -> dict:
-    patients = _load_patients(args.patients)
+    patients = _load(args.patients, "patients")
     vocab = corpus.Vocabulary.load(args.vocab)
     cfg = _model_config(args, len(vocab))
     flag_values = {"on": (True,), "off": (False,), "both": (True, False)}
@@ -248,7 +255,7 @@ def cmd_ablate(args) -> dict:
 
 
 def cmd_embed(args) -> dict:
-    patients = _load_patients(args.patients)
+    patients = _load(args.patients, "patients")
     model, vocab = encoder.load_with_vocab(args.model, args.vocab)
     embs = embedding.patient_embeddings(model, patients, vocab, args.strategy,
                                         events_only=args.events_only)
@@ -295,24 +302,17 @@ def cmd_export_vectors(args) -> dict:
             "out": str(args.out)}
 
 
-def _load_insurance(path: str) -> list[corpus.ApplicationRecord]:
-    records, skipped = corpus.read_insurance_jsonl(path)
-    if skipped:
-        print(f"warning: skipped {skipped} malformed lines in {path}", file=sys.stderr)
-    if not records:
-        raise ValueError(f"no usable applications in {path}")
-    return records
-
-
 def _embedding_source_from_args(args) -> scoring.EmbeddingSource:
+    if not (args.patients and args.model and args.vocab):
+        raise ValueError("--scheme replacement needs --patients, --model and --vocab")
     model, vocab = encoder.load_with_vocab(args.model, args.vocab)
-    patients = _load_patients(args.patients)
+    patients = _load(args.patients, "patients")
     table = embedding.average_group_embedding(model, patients, vocab, args.strategy)
     return scoring.EmbeddingSource(model, vocab, table, strategy=args.strategy)
 
 
 def cmd_score_train(args) -> dict:
-    records = _load_insurance(args.insurance)
+    records = _load(args.insurance, "applications")
     months = np.array([r.month for r in records])
     cut = months.max() + 1 - args.val_months
     if cut <= months.min():
@@ -351,7 +351,7 @@ def cmd_score_train(args) -> dict:
 
 def cmd_score_eval(args) -> dict:
     artifact = scoring.load_scorer(args.scorer)
-    records = _load_insurance(args.insurance)
+    records = _load(args.insurance, "applications")
     source = None
     if artifact.schema.scheme == "replacement":
         source = scoring.load_embedding_source(artifact, args.model, args.vocab)

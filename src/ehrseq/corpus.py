@@ -341,11 +341,12 @@ def parse_application(obj, labelled: bool = True) -> ApplicationRecord:
                              anamnesis=codes, policy=dict(policy), claim=claim)
 
 
-def read_insurance_jsonl(path: str | Path, strict: bool = False) -> tuple[list[ApplicationRecord], int]:
-    """Read a JSONL insurance file through :func:`parse_application`; malformed
-    lines are skipped and counted, or raise with ``strict=True``."""
-    records, skipped, _ = _read_jsonl(path, parse_application, "application", strict)
-    return records, skipped
+def read_insurance_jsonl(path: str | Path, strict: bool = False
+                         ) -> tuple[list[ApplicationRecord], int, list[str]]:
+    """Read a JSONL insurance file through :func:`parse_application`; returns the
+    records, the count of skipped malformed lines and the first 10 reasons, or
+    raises at the first malformed line with ``strict=True``."""
+    return _read_jsonl(path, parse_application, "application", strict)
 
 
 def write_insurance_jsonl(records: Iterable[ApplicationRecord], path: str | Path) -> int:

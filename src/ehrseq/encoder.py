@@ -338,10 +338,8 @@ class EncoderModel:
 def train(
     model: EncoderModel,
     samples: Sequence[EncodedSample],
-    rng: np.random.Generator | None = None,
     epochs: int | None = None,
     callbacks: Sequence[Callable[[int, float, EncoderModel], None]] = (),
-    checkpoint_dir: str | Path | None = None,
     log: Callable[[str], None] | None = None,
 ) -> list[float]:
     """Fit the model on encoded samples; returns per-epoch mean MLM loss.
@@ -356,12 +354,13 @@ def train(
     A non-finite loss aborts with the epoch/batch location. ``log`` gets
     one line per epoch: the loss, the share of steps whose gradient norm
     was clipped, the median and largest norm before clipping, and samples/s.
+    Each of ``callbacks`` is called after every epoch with the epoch number,
+    its mean loss and the model, for per-epoch work such as checkpoints.
     """
     if not samples:
         raise ValueError("training corpus is empty")
     cfg = model.config
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed)
     epochs = cfg.epochs if epochs is None else epochs
     opt = AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     names = list(model.params)
@@ -403,8 +402,6 @@ def train(
             log(f"epoch {epoch}/{epochs}: mlm loss {mean:.4f}, clipped {clipped:.1%} of "
                 f"{len(norms)} steps, grad norm median {median:.3g} max {largest:.3g}, "
                 f"{len(samples) / seconds:.0f} samples/s")
-        if checkpoint_dir is not None:
-            save_checkpoint(model, Path(checkpoint_dir) / f"epoch{epoch:03d}.ckpt")
         for cb in callbacks:
             cb(epoch, mean, model)
     return history

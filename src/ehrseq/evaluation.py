@@ -32,6 +32,9 @@ from .scoring import ridge_fit, ridge_predict, select_lambda
 
 OTHER_CATEGORY = "other"
 
+# a next-code predictor maps history prefixes to one predicted code each
+NextCodePredictor = Callable[[Sequence[PatientHistory]], list[str]]
+
 
 # ---------------------------------------------------------------------------
 # Reports
@@ -70,18 +73,6 @@ class EvalReport:
                 rec["std"] = c.std
             out.append(rec)
         return out
-
-    def format_table(self) -> str:
-        lines = [self.metric]
-        for c in self.cells:
-            key = " ".join(f"{k}={v}" for k, v in c.key.items())
-            std = f" ± {c.std:.4f}" if c.std is not None else ""
-            lines.append(f"  {key}: {c.value:.4f}{std} (n={c.count})")
-        if self.skipped:
-            lines.append(f"  skipped: {self.skipped}")
-        for e in self.errors:
-            lines.append(f"  error: {e}")
-        return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -153,42 +144,29 @@ def load_category_map(path: str | Path | None = None, vocab: Vocabulary | None =
 # ---------------------------------------------------------------------------
 
 
-class MostCommonPredictor:
+def baseline_most_common(train_patients: Sequence[PatientHistory]) -> NextCodePredictor:
     """Constant predictor of the modal training code (ties: lexicographic)."""
-
-    def __init__(self, code: str):
-        self.code = code
-
-    def __call__(self, prefix: PatientHistory) -> str:
-        return self.code
-
-    def predict_batch(self, prefixes: Sequence[PatientHistory]) -> list[str]:
-        return [self.code] * len(prefixes)
-
-
-def baseline_most_common(train_patients: Sequence[PatientHistory]) -> MostCommonPredictor:
     counts = Counter(e.code for p in train_patients for e in p.events)
     if not counts:
         raise ValueError("empty training corpus")
     top = max(counts.values())
     code = min(c for c, n in counts.items() if n == top)
-    return MostCommonPredictor(code)
+
+    def predict(prefixes: Sequence[PatientHistory]) -> list[str]:
+        return [code] * len(prefixes)
+
+    return predict
 
 
-class PreviousPredictor:
-    """Repeats the last code of the prefix."""
+def baseline_previous() -> NextCodePredictor:
+    """Predictor repeating the last code of each prefix."""
 
-    def __call__(self, prefix: PatientHistory) -> str:
-        if not prefix.events:
+    def predict(prefixes: Sequence[PatientHistory]) -> list[str]:
+        if any(not p.events for p in prefixes):
             raise ValueError("previous-code baseline needs a non-empty prefix")
-        return prefix.events[-1].code
+        return [p.events[-1].code for p in prefixes]
 
-    def predict_batch(self, prefixes: Sequence[PatientHistory]) -> list[str]:
-        return [self(p) for p in prefixes]
-
-
-def baseline_previous() -> PreviousPredictor:
-    return PreviousPredictor()
+    return predict
 
 
 class ModelNextCodePredictor:
@@ -198,13 +176,10 @@ class ModelNextCodePredictor:
         self.model = model
         self.vocab = vocab
 
-    def predict_batch(self, prefixes: Sequence[PatientHistory]) -> list[str]:
+    def __call__(self, prefixes: Sequence[PatientHistory]) -> list[str]:
         ids = predict_next_distribution_batch(self.model, prefixes, self.vocab,
                                               lambda d: d.argmax(axis=1))
         return [self.vocab.token(int(i)) for i in ids]
-
-    def __call__(self, prefix: PatientHistory) -> str:
-        return self.predict_batch([prefix])[0]
 
 
 class OracleNextCodePredictor:
@@ -213,18 +188,15 @@ class OracleNextCodePredictor:
     def __init__(self, patients: Sequence[PatientHistory]):
         self._codes = {p.patient_id: p.codes() for p in patients}
 
-    def __call__(self, prefix: PatientHistory) -> str:
-        return self._codes[prefix.patient_id][len(prefix.events)]
-
-    def predict_batch(self, prefixes: Sequence[PatientHistory]) -> list[str]:
-        return [self(p) for p in prefixes]
+    def __call__(self, prefixes: Sequence[PatientHistory]) -> list[str]:
+        return [self._codes[p.patient_id][len(p.events)] for p in prefixes]
 
 
-def next_code_accuracy(predictor, patients: Sequence[PatientHistory],
+def next_code_accuracy(predict: NextCodePredictor, patients: Sequence[PatientHistory],
                        thresholds: Sequence[int]) -> EvalReport:
     """Exact-match accuracy of the code at position th (1-indexed), predicted
-    from the th-1 preceding events by ``predictor.predict_batch``; cells with
-    no eligible patients are omitted from the report."""
+    from the th-1 preceding events by ``predict(prefixes)``, which returns one
+    code per prefix; cells with no eligible patients are omitted from the report."""
     report = EvalReport("next_code_accuracy")
     for th in thresholds:
         if th < 2:
@@ -234,7 +206,7 @@ def next_code_accuracy(predictor, patients: Sequence[PatientHistory],
             continue
         prefixes = [replace(p, events=p.events[: th - 1]) for p in eligible]
         truths = [p.events[th - 1].code for p in eligible]
-        preds = predictor.predict_batch(prefixes)
+        preds = predict(prefixes)
         acc = float(np.mean([pred == truth for pred, truth in zip(preds, truths)]))
         report.cells.append(EvalCell({"th": int(th)}, acc, None, len(eligible)))
     return report

@@ -408,27 +408,15 @@ def monthly_eval(scores: np.ndarray, labels: np.ndarray, months: np.ndarray) -> 
     return MonthlyReport(cells, avg, skipped)
 
 
-@dataclass
-class ScoreDistribution:
-    edges: np.ndarray  # inner edges, len bins-1; outer bins are open-ended
-    proportions: np.ndarray  # len bins, sums to 1
-
-
-def score_distribution(scores: np.ndarray, edges: np.ndarray) -> ScoreDistribution:
-    scores = np.asarray(scores, dtype=np.float64)
-    idx = np.searchsorted(edges, scores, side="right")
-    counts = np.bincount(idx, minlength=len(edges) + 1).astype(np.float64)
-    return ScoreDistribution(edges=np.asarray(edges, dtype=np.float64),
-                             proportions=counts / counts.sum())
-
-
 def psi(reference: np.ndarray, current: np.ndarray, bins: int = 10,
         edges: np.ndarray | None = None) -> float:
     """Population Stability Index over reference-quantile bins.
 
-    Σ (cᵢ − rᵢ)·ln(cᵢ/rᵢ) with proportions floored at 1e-6. Bin edges come
-    from reference quantiles unless fixed ``edges`` are supplied (fixed
-    shared edges make the statistic symmetric in its two arguments).
+    Σ (cᵢ − rᵢ)·ln(cᵢ/rᵢ) with proportions floored at 1e-6. The inner bin
+    edges come from reference quantiles unless fixed ``edges`` are supplied
+    (fixed shared edges make the statistic symmetric in its two arguments).
+    Bins are left-closed and the outer two open-ended, so a score equal to
+    an edge falls in the bin to its right.
     """
     reference = np.asarray(reference, dtype=np.float64)
     current = np.asarray(current, dtype=np.float64)
@@ -441,8 +429,8 @@ def psi(reference: np.ndarray, current: np.ndarray, bins: int = 10,
     if edges is None:
         qs = np.arange(1, bins) / bins
         edges = np.quantile(reference, qs)
-    r = score_distribution(reference, edges).proportions
-    c = score_distribution(current, edges).proportions
+    r, c = (np.bincount(np.searchsorted(edges, x, side="right"), minlength=len(edges) + 1)
+            / x.size for x in (reference, current))
     eps = 1e-6
     r = np.maximum(r, eps)
     c = np.maximum(c, eps)
@@ -471,9 +459,11 @@ def save_scorer(
     group_table: GroupTable | None = None,
     extra_meta: dict | None = None,
 ) -> None:
+    """Write a scorer artifact; refuses a ``schema`` other than the one ``model`` was fit on."""
+    check_pin("feature schema", model.schema_hash, schema.sha256())
     meta = {
         "schema": schema.to_json(),
-        "schema_hash": schema.sha256(),
+        "schema_hash": model.schema_hash,
         "lam": model.lam,
         "intercept": model.intercept,
         "training_period": model.training_period,

@@ -44,6 +44,9 @@ _AGE_WINDOWS = [
     (50, 99), (60, 99), (0, 49), (25, 74), (35, 99), (15, 64),
 ]
 _FEMALE_SHARES = [0.5, 0.35, 0.65, 0.45, 0.55, 0.3, 0.7, 0.5, 0.4, 0.6, 0.5, 0.45]
+_ZIPF_S = 2.0  # exponent of the within-group code distribution
+_GROUP_COUNT_PROBS = (0.5, 0.35, 0.15)  # a patient has 1, 2 or 3 groups
+_VISIT_SIZE_PROBS = (0.5, 0.3, 0.2)  # a visit has 1, 2 or 3 codes
 
 
 @dataclass(frozen=True)
@@ -62,10 +65,7 @@ class GeneratorConfig:
 
     mean_events: float = 10.0
     repeat_prob: float = 0.3
-    zipf_s: float = 2.0
     max_events: int = 40
-    group_count_probs: tuple[float, ...] = (0.5, 0.35, 0.15)  # 1, 2, 3 groups
-    visit_size_probs: tuple[float, ...] = (0.5, 0.3, 0.2)  # 1, 2, 3 codes
     start_date: dt.date = dt.date(2014, 1, 1)
 
     def validate(self) -> None:
@@ -75,13 +75,9 @@ class GeneratorConfig:
             raise ValueError("mean_events must be >= 2")
         if self.max_events < 2:
             raise ValueError("max_events must be >= 2")
-        if abs(sum(self.group_count_probs) - 1.0) > 1e-9:
-            raise ValueError("group_count_probs must sum to 1")
-        if abs(sum(self.visit_size_probs) - 1.0) > 1e-9:
-            raise ValueError("visit_size_probs must sum to 1")
 
 
-def corpus_groups(n_codes: int, config: GeneratorConfig | None = None) -> list[GroupSpec]:
+def corpus_groups(n_codes: int) -> list[GroupSpec]:
     """Resolve the latent group layout for a given code budget.
 
     Deterministic in ``n_codes``: groups, their prefixes, age windows and the
@@ -127,8 +123,8 @@ def generate_synthetic_corpus(
         raise ValueError("n_patients must be >= 1")
     cfg = config or GeneratorConfig()
     cfg.validate()
-    groups = corpus_groups(n_codes, cfg)
-    pmfs = [_zipf_pmf(len(g.codes), cfg.zipf_s) for g in groups]
+    groups = corpus_groups(n_codes)
+    pmfs = [_zipf_pmf(len(g.codes), _ZIPF_S) for g in groups]
     rng = np.random.default_rng(seed)
     patients: list[PatientHistory] = []
     for i in range(n_patients):
@@ -137,7 +133,7 @@ def generate_synthetic_corpus(
         eligible = [gi for gi, g in enumerate(groups) if g.age_low <= age <= g.age_high]
         if not eligible:
             eligible = [0]
-        k = int(rng.choice(len(cfg.group_count_probs), p=cfg.group_count_probs)) + 1
+        k = int(rng.choice(len(_GROUP_COUNT_PROBS), p=_GROUP_COUNT_PROBS)) + 1
         k = min(k, len(eligible))
         affinity = np.array(
             [groups[gi].female_share if gender == "F" else 1.0 - groups[gi].female_share
@@ -167,7 +163,7 @@ def generate_synthetic_corpus(
         events: list[Event] = []
         pos = 0
         while pos < len(codes):
-            size = int(rng.choice(len(cfg.visit_size_probs), p=cfg.visit_size_probs)) + 1
+            size = int(rng.choice(len(_VISIT_SIZE_PROBS), p=_VISIT_SIZE_PROBS)) + 1
             for c in codes[pos : pos + size]:
                 events.append(Event(day, c))
             pos += size

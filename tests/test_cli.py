@@ -438,6 +438,50 @@ class TestModelFlagsRequired:
                 assert f"error: {option} needs --model and --vocab" in err
                 assert "usage:" in err
 
+    @pytest.mark.parametrize("omitted", ["--patients", "--model", "--vocab"])
+    def test_replacement_scorer_without_an_input_is_a_usage_error(
+            self, pipeline, tmp_path, capsys, omitted):
+        inputs = {"--patients": str(pipeline / "filtered.jsonl"),
+                  "--model": str(pipeline / "encoder.ckpt"),
+                  "--vocab": str(pipeline / "vocab.tsv")}
+        given = [x for flag, path in inputs.items() if flag != omitted for x in (flag, path)]
+        code = cli.main(["score-train", "--insurance", str(pipeline / "insurance.jsonl"),
+                         "--scheme", "replacement", *given, "--out", str(tmp_path / "s.bin")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: --scheme replacement needs --patients, --model and --vocab" in err
+        assert "usage:" in err
+
+
+class TestSkippedLineReasons:
+    """A skipped input line is reported with its line number and the field at fault."""
+
+    def test_patient_file(self, pipeline, tmp_path, capsys):
+        lines = (pipeline / "filtered.jsonl").read_text().splitlines()[:20]
+        bad = json.loads(lines[2])
+        bad["gender"] = "U"
+        lines[2] = json.dumps(bad)
+        path = tmp_path / "patients.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["build-vocab", "--patients", str(path),
+                         "--out", str(tmp_path / "vocab.tsv")]) == 0
+        err = capsys.readouterr().err
+        assert f"warning: skipped 1 malformed lines in {path}" in err
+        assert "line 3: gender must be one of" in err
+
+    def test_insurance_file(self, pipeline, tmp_path, capsys):
+        lines = (pipeline / "insurance.jsonl").read_text().splitlines()
+        bad = json.loads(lines[2])
+        bad["gender"] = "U"
+        lines[2] = json.dumps(bad)
+        path = tmp_path / "insurance.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert cli.main(["score-train", "--insurance", str(path), "--val-months", "2",
+                         "--out", str(tmp_path / "scorer.bin")]) == 0
+        err = capsys.readouterr().err
+        assert f"warning: skipped 1 malformed lines in {path}" in err
+        assert "line 3: gender: expected one of ['M', 'F']" in err
+
 
 def readme_cli_commands() -> list[list[str]]:
     """Argument lists of the ``ehrseq`` lines in the README's ``## CLI`` code block."""
@@ -450,7 +494,7 @@ def readme_cli_commands() -> list[list[str]]:
 class TestReadmeCli:
     def test_every_readme_command_parses(self):
         commands = readme_cli_commands()
-        assert len(commands) == 9
+        assert len(commands) == 10
         parser, _ = cli.build_parser()
         for argv in commands:
             try:

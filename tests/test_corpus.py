@@ -249,8 +249,8 @@ class TestIngest:
         ]
         path = tmp_path / "apps.jsonl"
         C.write_insurance_jsonl(recs, path)
-        back, skipped = C.read_insurance_jsonl(path)
-        assert skipped == 0
+        back, skipped, errors = C.read_insurance_jsonl(path)
+        assert (skipped, errors) == (0, [])
         assert back == recs
 
     def test_insurance_line_with_bad_fields_is_skipped(self, tmp_path):
@@ -258,7 +258,7 @@ class TestIngest:
                 "policy": {"region": 5}, "claim": 3}
         path = tmp_path / "apps.jsonl"
         path.write_text(json.dumps(line) + "\n")
-        assert C.read_insurance_jsonl(path) == ([], 1)
+        assert C.read_insurance_jsonl(path) == ([], 1, ["line 1: app_id: expected a non-empty string"])
 
     @pytest.mark.parametrize("month, claim, field", [
         (-1, 0, "month"), ("1", 0, "month"), (None, 0, "month"), (1.0, 0, "month"),
@@ -269,7 +269,8 @@ class TestIngest:
         obj = {k: v for k, v in obj.items() if v is not None}
         path = tmp_path / "apps.jsonl"
         path.write_text(json.dumps(obj) + "\n")
-        assert C.read_insurance_jsonl(path) == ([], 1)
+        records, skipped, errors = C.read_insurance_jsonl(path)
+        assert (records, skipped) == ([], 1) and errors[0].startswith(f"line 1: {field}:")
         with pytest.raises(ValueError, match=f"malformed application record: {field}:"):
             C.read_insurance_jsonl(path, strict=True)
         # a scoring request carries neither field

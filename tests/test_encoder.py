@@ -408,8 +408,11 @@ class TestTrain:
                                      max_len=3 + 24, epochs=2)
         model = EncoderModel.build(cfg)
         seen = []
-        train(model, samples[:32], callbacks=[lambda e, l, m: seen.append((e, l))],
-              checkpoint_dir=tmp_path)
+
+        def save_epoch(epoch, loss, m):
+            save_checkpoint(m, tmp_path / f"epoch{epoch:03d}.ckpt")
+
+        train(model, samples[:32], callbacks=[lambda e, l, m: seen.append((e, l)), save_epoch])
         assert [e for e, _ in seen] == [1, 2]
         assert (tmp_path / "epoch001.ckpt").exists()
         assert (tmp_path / "epoch002.ckpt").exists()

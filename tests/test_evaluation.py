@@ -116,7 +116,8 @@ class TestNextCodeAccuracy:
         mc = baseline_most_common(corpus)
         rep = next_code_accuracy(mc, corpus, thresholds=(4,))
         eligible = [p for p in corpus if len(p.events) >= 4]
-        hits = sum(p.events[3].code == mc.code for p in eligible)
+        code = mc(corpus[:1])[0]
+        hits = sum(p.events[3].code == code for p in eligible)
         npt.assert_allclose(rep.cell(th=4).value, hits / len(eligible), rtol=1e-12)
 
     def test_eligibility_counting(self):
@@ -134,7 +135,7 @@ class TestNextCodeAccuracy:
 
     def test_most_common_breaks_ties_lexicographically(self):
         patients = [mkpatient("a", ["B01", "A01"]), mkpatient("b", ["A01", "B01"])]
-        assert baseline_most_common(patients).code == "A01"
+        assert baseline_most_common(patients)(patients[:1]) == ["A01"]
 
     def test_bad_threshold(self):
         with pytest.raises(ValueError, match="threshold"):
@@ -142,11 +143,10 @@ class TestNextCodeAccuracy:
 
     def test_previous_requires_nonempty_prefix(self):
         with pytest.raises(ValueError, match="non-empty"):
-            baseline_previous()(mkpatient("a", []))
+            baseline_previous()([mkpatient("a", [])])
 
     def test_report_formatting(self, corpus):
         rep = next_code_accuracy(baseline_previous(), corpus, thresholds=(4,))
-        assert "next_code_accuracy" in rep.format_table()
         recs = rep.to_json_records()
         assert recs[0]["metric"] == "next_code_accuracy"
         assert recs[0]["th"] == 4
@@ -171,18 +171,18 @@ class TestModelNextCodePredictor:
             return forward(self, ids, attn, *args, **kwargs)
 
         monkeypatch.setattr(EncoderModel, "forward", spy)
-        batched = predictor.predict_batch(prefixes)
+        batched = predictor(prefixes)
         monkeypatch.undo()
         # two forwards over length-sorted chunks: the short rows pad to their own width
         assert [b for b, _ in widths] == [INFER_CHUNK, 40]
         assert widths[0][1] < widths[1][1]
-        assert batched == [predictor(p) for p in prefixes]
+        assert batched == [predictor([p])[0] for p in prefixes]
 
     def test_no_prefixes(self, corpus):
         vocab = build_vocabulary(corpus)
         model = EncoderModel.build(ModelConfig(vocab_size=len(vocab), d=16, n_layers=1,
                                                n_heads=2, max_len=27, seed=6))
-        assert ModelNextCodePredictor(model, vocab).predict_batch([]) == []
+        assert ModelNextCodePredictor(model, vocab)([]) == []
 
 
 class TestCategoryMap:

@@ -32,7 +32,6 @@ from ehrseq.scoring import (
     ridge_solve,
     roc_auc,
     save_scorer,
-    score_distribution,
     select_lambda,
 )
 from ehrseq.synthetic import generate_synthetic_corpus
@@ -492,15 +491,22 @@ class TestPsi:
         edges = np.quantile(np.concatenate([a, b]), np.arange(1, 10) / 10)
         assert psi(a, b, edges=edges) == pytest.approx(psi(b, a, edges=edges))
 
-    def test_score_distribution_matches_manual_binning(self):
-        scores = np.array([0.05, 0.15, 0.15, 0.25, 0.95])
+    def test_fixed_edges_match_manual_binning(self):
         edges = np.array([0.1, 0.2, 0.9])
-        dist = score_distribution(scores, edges)
-        npt.assert_allclose(dist.proportions, [1 / 5, 2 / 5, 1 / 5, 1 / 5])
-        assert dist.proportions.sum() == pytest.approx(1.0)
-        # bins are left-closed, so a boundary value lands in the right bin
-        npt.assert_allclose(score_distribution(np.array([0.1]), edges).proportions,
-                            [0.0, 1.0, 0.0, 0.0])
+        # 1, 2, 3 and 4 of the 10 reference scores in the four bins
+        reference = np.array([0.05, 0.15, 0.15, 0.5, 0.5, 0.5, 0.95, 0.95, 0.95, 0.95])
+        r = np.array([0.1, 0.2, 0.3, 0.4])
+
+        def manual(c):
+            c = np.maximum(c, 1e-6)
+            return float(np.sum((c - r) * np.log(c / r)))
+
+        scores = np.array([0.05, 0.15, 0.15, 0.25, 0.95])
+        assert psi(reference, scores, edges=edges) == pytest.approx(
+            manual(np.array([1 / 5, 2 / 5, 1 / 5, 1 / 5])))
+        # bins are left-closed, so a boundary value lands in the bin to its right
+        assert psi(reference, np.array([0.1]), edges=edges) == pytest.approx(
+            manual(np.array([0.0, 1.0, 0.0, 0.0])))
 
     def test_validation(self):
         x = np.ones(10)
@@ -542,11 +548,23 @@ class TestScorerArtifact:
         rng = np.random.default_rng(17)
         X = rng.normal(size=(30, 4))
         y = (rng.random(30) < 0.5).astype(float)
-        m = ridge_fit(X, y, 1.0)
         schema = derive_schema(TRAIN_RECORDS, "base")
+        m = ridge_fit(X, y, 1.0, schema_hash=schema.sha256())
         path = tmp_path / "scorer.bin"
         save_scorer(path, m, schema, ridge_predict(m, X))
         art = load_scorer(path)
         assert art.group_table is None
         # loaded model scores close to the original (float32 storage)
         npt.assert_allclose(ridge_predict(art.model, X), ridge_predict(m, X), atol=1e-4)
+
+    def test_save_refuses_a_schema_the_model_was_not_fit_on(self, tmp_path):
+        fitted = derive_schema(TRAIN_RECORDS[:2], "base")
+        other = derive_schema(TRAIN_RECORDS, "base")
+        rng = np.random.default_rng(18)
+        X = rng.normal(size=(20, fitted.width))
+        m = ridge_fit(X, (rng.random(20) < 0.5).astype(float), 1.0,
+                      schema_hash=fitted.sha256())
+        path = tmp_path / "scorer.bin"
+        with pytest.raises(ContainerError, match="feature schema mismatch"):
+            save_scorer(path, m, other, ridge_predict(m, X))
+        assert list(tmp_path.iterdir()) == []

@@ -310,7 +310,7 @@ class TestHealthAndPsi:
                                                months=4, risk_groups=["I25"])
         X, schema = assemble_features(records, "base")
         y = np.array([r.claim for r in records], dtype=np.float64)
-        model = ridge_fit(X, y, lam=10.0)
+        model = ridge_fit(X, y, lam=10.0, schema_hash=schema.sha256())
         path = tmp_path / "scorer.bin"
         save_scorer(path, model, schema, ridge_predict(model, X))
         service = ScoringService.from_files(path)
@@ -576,7 +576,8 @@ class TestParseScoreRequest:
         assert exc.value.status == 400 and exc.value.message.startswith(f"{field}:")
         path = tmp_path / "apps.jsonl"
         path.write_text(json.dumps({**payload, "month": 0, "claim": 0}) + "\n")
-        assert read_insurance_jsonl(path) == ([], 1)
+        records, skipped, errors = read_insurance_jsonl(path)
+        assert (records, skipped) == ([], 1) and errors[0].startswith(f"line 1: {field}:")
         with pytest.raises(ValueError) as exc:
             read_insurance_jsonl(path, strict=True)
         assert f"malformed application record: {field}:" in str(exc.value)
