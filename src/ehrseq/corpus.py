@@ -228,21 +228,45 @@ class Vocabulary:
 # ---------------------------------------------------------------------------
 
 
-def _parse_patient(obj: dict) -> PatientHistory:
-    gender = obj["gender"]
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_patient(obj) -> PatientHistory:
+    """Check one patient object field by field; raises ``ValueError`` naming the field."""
+    if not isinstance(obj, dict):
+        raise ValueError("record: expected a JSON object")
+    patient_id = obj.get("patient_id")
+    if not isinstance(patient_id, str) or not patient_id:
+        raise ValueError("patient_id: expected a non-empty string")
+    gender = obj.get("gender")
     if gender not in GENDERS:
         raise ValueError(f"gender must be one of {GENDERS}, got {gender!r}")
-    events = [
-        Event(dt.date.fromisoformat(e["date"]), normalize_code(e["icd"]))
-        for e in obj["events"]
-    ]
+    age = obj.get("age")
+    if not _is_int(age) or not (0 <= age <= 130):
+        raise ValueError("age: expected an integer in [0, 130]")
+    raw_events = obj.get("events")
+    if not isinstance(raw_events, list):
+        raise ValueError("events: expected a list")
+    events = []
+    for i, e in enumerate(raw_events):
+        if not isinstance(e, dict):
+            raise ValueError(f"events[{i}]: expected an object")
+        date, icd = e.get("date"), e.get("icd")
+        if not isinstance(date, str):
+            raise ValueError(f"events[{i}].date: expected an ISO date string")
+        if not isinstance(icd, str):
+            raise ValueError(f"events[{i}].icd: expected a string")
+        try:
+            day = dt.date.fromisoformat(date)
+        except ValueError as exc:
+            raise ValueError(f"events[{i}].date: {exc}") from exc
+        try:
+            events.append(Event(day, normalize_code(icd)))
+        except InvalidCodeError as exc:
+            raise ValueError(f"events[{i}].icd: {exc}") from exc
     events.sort(key=lambda e: e.date)  # stable: same-day order preserved
-    return PatientHistory(
-        patient_id=str(obj["patient_id"]),
-        gender=gender,
-        age_years=int(obj["age"]),
-        events=events,
-    )
+    return PatientHistory(patient_id=patient_id, gender=gender, age_years=age, events=events)
 
 
 def _read_jsonl(path: str | Path, parse, what: str, strict: bool) -> tuple[list, int, list[str]]:
@@ -291,10 +315,6 @@ def write_patients_jsonl(patients: Iterable[PatientHistory], path: str | Path) -
         "age": p.age_years,
         "events": [{"date": e.date.isoformat(), "icd": e.code} for e in p.events],
     } for p in patients), path)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def parse_application(obj, labelled: bool = True) -> ApplicationRecord:

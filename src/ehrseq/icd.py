@@ -8,6 +8,7 @@ codes compare equal exactly when their normalized strings are equal.
 
 from __future__ import annotations
 
+import functools
 import re
 
 _CODE_RE = re.compile(r"^[A-Z][0-9]{2}(\.[A-Z0-9]{1,2})?$")
@@ -17,6 +18,9 @@ class InvalidCodeError(ValueError):
     """Raised when a string cannot be normalized into a diagnosis code."""
 
 
+# bounded: /score requests bring client-chosen codes. lru_cache stores no
+# exceptions, so an invalid code raises on every call.
+@functools.lru_cache(maxsize=16_384)
 def normalize_code(raw: str) -> str:
     """Return the canonical form of a diagnosis code.
 

@@ -9,10 +9,10 @@ Two feature schemes over :class:`ApplicationRecord`:
   lexicographically ordered anamnesis codes. Applications with an empty
   anamnesis fall back to the averaged (gender, age) group embedding.
 
-The classifier is ridge regression on 0/1 claims (normal equations via
-Cholesky, internal standardization, unpenalized intercept), scored with
-rank-based ROC AUC per month. PSI over reference-derived score deciles
-monitors drift.
+The classifier is ridge regression on 0/1 claims (normal equations solved
+with ``numpy.linalg.solve``, internal standardization, unpenalized
+intercept), scored with rank-based ROC AUC per month. PSI over
+reference-derived score deciles monitors drift.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .container import check_pin, load_artifact, save_artifact
 from .corpus import GENDERS, ApplicationRecord, Event, PatientHistory, Vocabulary
@@ -277,12 +276,14 @@ class RidgeModel:
 
 
 def ridge_solve(X: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (XᵀX + λI) W = XᵀY by Cholesky; Y may have multiple columns."""
+    """Solve (XᵀX + λI) W = XᵀY with ``numpy.linalg.solve``; Y may have
+    multiple columns. λ > 0 makes XᵀX + λI symmetric positive definite, so
+    the solve never meets a singular matrix."""
     if lam <= 0:
         raise ValueError(f"lam must be > 0, got {lam}")
     p = X.shape[1]
     A = X.T @ X + lam * np.eye(p)
-    return cho_solve(cho_factor(A), X.T @ Y)
+    return np.linalg.solve(A, X.T @ Y)
 
 
 def ridge_fit(X: np.ndarray, y: np.ndarray, lam: float,

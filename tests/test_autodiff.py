@@ -1,6 +1,7 @@
 """Autodiff core: per-op finite differences, composite losses, optimizer limits."""
 
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +182,26 @@ class TestForwardSemantics:
         x = T.constant(np.array([0.0, 100.0, -100.0]), dtype=np.float64)
         out = T.gelu(x).data
         npt.assert_allclose(out, [0.0, 100.0, 0.0], atol=1e-12)
+
+    @staticmethod
+    def _exact_gelu(x: np.ndarray) -> np.ndarray:
+        return np.array([v * 0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x.tolist()])
+
+    def test_gelu_float32_within_2e6_of_exact(self):
+        x = np.linspace(-10.0, 10.0, 200_001, dtype=np.float32)
+        out = T.gelu(T.constant(x)).data
+        assert out.dtype == np.float32
+        assert np.abs(out - self._exact_gelu(x)).max() <= 2e-6
+        npt.assert_array_equal(out[x >= 6], x[x >= 6])
+        assert np.abs(out[x <= -6]).max() <= 1e-6
+        far = np.array([-1e4, -100.0, 100.0, 1e4], dtype=np.float32)
+        npt.assert_array_equal(T.gelu(T.constant(far)).data, [0.0, 0.0, 100.0, 1e4])
+
+    def test_gelu_float64_is_the_erf_formula(self):
+        x = np.linspace(-10.0, 10.0, 20_001)
+        out = T.gelu(T.constant(x, dtype=np.float64)).data
+        assert out.dtype == np.float64
+        npt.assert_allclose(out, self._exact_gelu(x), rtol=1e-15, atol=0)
 
     def test_embedding_rows(self):
         table = T.constant(np.arange(12.0).reshape(4, 3))

@@ -40,6 +40,13 @@ class TestNormalizeCode:
             normalize_code(bad)
         assert not is_valid_code(bad)
 
+    def test_invalid_code_raises_on_every_call(self):
+        # normalize_code is memoized; a failure must not be remembered as a result
+        for _ in range(3):
+            with pytest.raises(InvalidCodeError):
+                normalize_code("notacode")
+        assert normalize_code("j069") == normalize_code("j069") == "J06.9"
+
     def test_prefix(self):
         assert code_prefix("J06.9") == "J06"
         assert code_prefix("I25") == "I25"
@@ -208,6 +215,37 @@ class TestIngest:
         path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
         res = C.ingest_corpus(path)
         assert len(res.patients) == 1 and res.skipped == 2
+
+    def test_wrong_field_types_are_skipped_not_coerced(self, tmp_path):
+        good = {"patient_id": "p1", "gender": "M", "age": 40,
+                "events": [{"date": "2015-01-01", "icd": "J06.9"}]}
+        bad = [({"events": [{"date": "2015-01-01", "icd": 5}]}, "events[0].icd"),
+               ({"patient_id": 7}, "patient_id"),
+               ({"age": "41"}, "age"),
+               ({"age": True}, "age")]
+        rows = [good] + [{**good, **change} for change, _ in bad]
+        path = tmp_path / "c.jsonl"
+        path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+        res = C.ingest_corpus(path)
+        assert [p.patient_id for p in res.patients] == ["p1"] and res.skipped == 4
+        for (_, field), lineno, reason in zip(bad, range(2, 6), res.errors):
+            assert reason.startswith(f"line {lineno}: {field}:")
+        with pytest.raises(ValueError, match=r"c\.jsonl:2: malformed patient record: events\[0\]\.icd:"):
+            C.ingest_corpus(path, strict=True)
+
+    @pytest.mark.parametrize("change, field", [
+        ({"patient_id": ""}, "patient_id"), ({"age": -40}, "age"), ({"age": 131}, "age"),
+        ({"age": 40.0}, "age"), ({"events": {}}, "events"), ({"events": ["x"]}, "events[0]"),
+        ({"events": [{"date": 20150101, "icd": "A00"}]}, "events[0].date"),
+        ({"events": [{"date": "2015-13-01", "icd": "A00"}]}, "events[0].date"),
+        ({"events": [{"date": "2015-01-01", "icd": "notacode"}]}, "events[0].icd"),
+    ])
+    def test_bad_patient_field_is_named(self, tmp_path, change, field):
+        obj = {"patient_id": "p1", "gender": "M", "age": 40, "events": [], **change}
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        res = C.ingest_corpus(path)
+        assert res.skipped == 1 and res.errors[0].startswith(f"line 1: {field}:")
 
     def test_strict_raises(self, tmp_path):
         path = tmp_path / "c.jsonl"
