@@ -33,7 +33,7 @@ print("\nnext-code accuracy (history length th):")
 print(f"{'predictor':<14} {'th=4':>8} {'th=8':>8}")
 for name, predictor in (
     ("model", ModelNextCodePredictor(model, vocab)),
-    ("most_common", baseline_most_common(kept)),
+    ("most_common", baseline_most_common(vocab)),
     ("previous", baseline_previous()),
 ):
     report = next_code_accuracy(predictor, eval_patients, thresholds=(4, 8))

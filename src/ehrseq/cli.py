@@ -207,7 +207,9 @@ def cmd_eval_next_code(args) -> dict:
         model, vocab = _load_model_for(args, "--predictor model")
         predictor = evaluation.ModelNextCodePredictor(model, vocab)
     elif args.predictor == "most-common":
-        predictor = evaluation.baseline_most_common(patients)
+        if not args.vocab:
+            raise ValueError("--predictor most-common needs --vocab")
+        predictor = evaluation.baseline_most_common(corpus.Vocabulary.load(args.vocab))
     elif args.predictor == "previous":
         predictor = evaluation.baseline_previous()
     else:
@@ -217,22 +219,36 @@ def cmd_eval_next_code(args) -> dict:
             "cells": report.to_json_records()}
 
 
+def _load_categories(path: str | None, vocab: corpus.Vocabulary) -> evaluation.CategoryMap:
+    """The category map of ``path`` (or the prefix fallback); warns about the
+    rows it skipped and the vocabulary codes it does not map."""
+    cat_map = evaluation.load_category_map(path, vocab=vocab)
+    if cat_map.skipped_rows:
+        print(f"warning: skipped {cat_map.skipped_rows} malformed rows in {path}", file=sys.stderr)
+    if cat_map.unmapped_codes:
+        print(f"warning: {path} maps no category for {cat_map.unmapped_codes} of the "
+              f"{vocab.n_icd} vocabulary codes; they count as {evaluation.OTHER_CATEGORY!r}",
+              file=sys.stderr)
+    return cat_map
+
+
 def cmd_eval_visits(args) -> dict:
     patients = _load(args.patients, "patients")
     if args.scorer == "model":
         model, vocab = _load_model_for(args, "--scorer model")
-        cat_map = evaluation.load_category_map(args.categories, vocab=vocab)
+        cat_map = _load_categories(args.categories, vocab)
         scorer = evaluation.model_category_scorer(model, vocab, cat_map)
         factory = lambda train: scorer
     else:
         vocab = corpus.Vocabulary.load(args.vocab) if args.vocab else corpus.build_vocabulary(patients)
-        cat_map = evaluation.load_category_map(args.categories, vocab=vocab)
+        cat_map = _load_categories(args.categories, vocab)
         factory = lambda train: evaluation.frequency_category_scorer(train, cat_map)
     report = evaluation.evaluate_visit_prediction(
         factory, patients, cat_map, ks=args.ks, folds=args.folds,
         seed=args.seed if args.seed is not None else 0)
     return {"command": "eval-visits", "scorer": args.scorer,
-            "categories": cat_map.n_categories, "cells": report.to_json_records(),
+            "categories": cat_map.n_categories, "skipped_category_rows": cat_map.skipped_rows,
+            "unmapped_codes": cat_map.unmapped_codes, "cells": report.to_json_records(),
             "skipped": report.skipped}
 
 

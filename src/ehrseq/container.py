@@ -41,7 +41,7 @@ def check_pin(what: str, recorded: str, offered: str) -> None:
     """Refuse a ``what`` other than the one a derived artifact recorded ("" if none)."""
     if recorded != offered:
         raise ContainerError(f"{what} mismatch: built with {recorded[:12] or '(none recorded)'}, "
-                             f"offered {offered[:12]}; refit with `ehrseq score-train`")
+                             f"offered {offered[:12]}; pass the {what} it was built with, or rebuild it")
 
 
 @contextmanager
@@ -93,8 +93,27 @@ def save_artifact(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.
             fh.write(raw)
 
 
-def load_artifact(path: str | Path, kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read an artifact; raises :class:`ContainerError` on any malformation."""
+def _array_specs(header: dict, path) -> dict[str, tuple[int, ...]]:
+    """Shape of each array a header declares, by name in file order; refuses a
+    malformed or repeated declaration."""
+    specs = header.get("arrays")
+    if not isinstance(specs, list):
+        raise ContainerError(f"artifact header 'arrays' is not a list: {path}")
+    out: dict[str, tuple[int, ...]] = {}
+    for i, spec in enumerate(specs):
+        name, shape = (spec.get("name"), spec.get("shape")) if isinstance(spec, dict) else (None, None)
+        if not (isinstance(name, str) and isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise ContainerError(
+                f"array {i} needs a string 'name' and a 'shape' of non-negative ints: {path}")
+        if name in out:
+            raise ContainerError(f"array {name!r} declared twice: {path}")
+        out[name] = tuple(shape)
+    return out
+
+
+def load_artifact(path: str | Path, kind: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """Read an artifact of ``kind``; raises :class:`ContainerError` on any malformation."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -111,32 +130,36 @@ def load_artifact(path: str | Path, kind: str | None = None) -> tuple[dict, dict
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ContainerError(f"unreadable artifact header: {path}: {exc}") from exc
     pos += hlen
+    if not isinstance(header, dict):
+        raise ContainerError(f"artifact header is not a JSON object: {path}")
     if header.get("format_version") != FORMAT_VERSION:
         raise ContainerError(
-            f"unsupported format version {header.get('format_version')} (expected {FORMAT_VERSION})"
+            f"unsupported format version {header.get('format_version')} (expected {FORMAT_VERSION}): {path}"
         )
-    if kind is not None and header.get("kind") != kind:
-        raise ContainerError(f"artifact kind {header.get('kind')!r}, expected {kind!r}")
+    if header.get("kind") != kind:
+        raise ContainerError(f"artifact kind {header.get('kind')!r}, expected {kind!r}: {path}")
+    meta = header.get("meta")
+    if not isinstance(meta, dict):
+        raise ContainerError(f"artifact header 'meta' is not a JSON object: {path}")
     arrays: dict[str, np.ndarray] = {}
-    for spec in header.get("arrays", []):
+    for name, shape in _array_specs(header, path).items():
         if pos + 4 > len(data):
-            raise ContainerError(f"truncated artifact (missing blob length for {spec['name']!r})")
+            raise ContainerError(f"truncated artifact (missing blob length for {name!r}): {path}")
         (nbytes,) = struct.unpack_from("<I", data, pos)
         pos += 4
-        shape = tuple(spec["shape"])
         expected = int(np.prod(shape, dtype=np.int64)) * 4
         if nbytes != expected:
             raise ContainerError(
-                f"blob size {nbytes} for array {spec['name']!r} does not match shape {shape}"
+                f"blob size {nbytes} for array {name!r} does not match shape {shape}: {path}"
             )
         if pos + nbytes > len(data):
-            raise ContainerError(f"truncated artifact (array {spec['name']!r})")
+            raise ContainerError(f"truncated artifact (array {name!r}): {path}")
         arr = np.frombuffer(data[pos : pos + nbytes], dtype="<f4").reshape(shape)
-        arrays[spec["name"]] = arr.astype(np.float32, copy=True)  # writable copy
+        arrays[name] = arr.astype(np.float32, copy=True)  # writable copy
         pos += nbytes
     if pos != len(data):
         raise ContainerError(f"{len(data) - pos} trailing bytes after declared arrays: {path}")
-    return header["meta"], arrays
+    return meta, arrays
 
 
 def artifact_hash(path: str | Path) -> str:

@@ -269,9 +269,9 @@ def _parse_patient(obj) -> PatientHistory:
     return PatientHistory(patient_id=patient_id, gender=gender, age_years=age, events=events)
 
 
-def _read_jsonl(path: str | Path, parse, what: str, strict: bool) -> tuple[list, int, list[str]]:
+def _read_jsonl(path: str | Path, parse) -> tuple[list, int, list[str]]:
     """Parse each non-blank line of a JSONL file; malformed lines are skipped and
-    counted, with the first 10 messages kept, or raise at once with ``strict``."""
+    counted, with the first 10 messages kept."""
     items = []
     skipped = 0
     errors: list[str] = []
@@ -283,8 +283,6 @@ def _read_jsonl(path: str | Path, parse, what: str, strict: bool) -> tuple[list,
             try:
                 items.append(parse(json.loads(line)))
             except (json.JSONDecodeError, KeyError, ValueError, TypeError, InvalidCodeError) as exc:
-                if strict:
-                    raise ValueError(f"{path}:{lineno}: malformed {what} record: {exc}") from exc
                 skipped += 1
                 if len(errors) < 10:
                     errors.append(f"line {lineno}: {exc}")
@@ -300,12 +298,9 @@ def _write_jsonl(objs: Iterable[dict], path: str | Path) -> int:
     return n
 
 
-def ingest_corpus(path: str | Path, strict: bool = False) -> IngestResult:
-    """Read a JSONL patient corpus file; malformed lines are skipped and counted.
-
-    With ``strict=True`` the first malformed line raises instead.
-    """
-    return IngestResult(*_read_jsonl(path, _parse_patient, "patient", strict))
+def ingest_corpus(path: str | Path) -> IngestResult:
+    """Read a JSONL patient corpus file; malformed lines are skipped and counted."""
+    return IngestResult(*_read_jsonl(path, _parse_patient))
 
 
 def write_patients_jsonl(patients: Iterable[PatientHistory], path: str | Path) -> int:
@@ -361,12 +356,10 @@ def parse_application(obj, labelled: bool = True) -> ApplicationRecord:
                              anamnesis=codes, policy=dict(policy), claim=claim)
 
 
-def read_insurance_jsonl(path: str | Path, strict: bool = False
-                         ) -> tuple[list[ApplicationRecord], int, list[str]]:
+def read_insurance_jsonl(path: str | Path) -> tuple[list[ApplicationRecord], int, list[str]]:
     """Read a JSONL insurance file through :func:`parse_application`; returns the
-    records, the count of skipped malformed lines and the first 10 reasons, or
-    raises at the first malformed line with ``strict=True``."""
-    return _read_jsonl(path, parse_application, "application", strict)
+    records, the count of skipped malformed lines and the first 10 reasons."""
+    return _read_jsonl(path, parse_application)
 
 
 def write_insurance_jsonl(records: Iterable[ApplicationRecord], path: str | Path) -> int:

@@ -111,14 +111,9 @@ def patient_embeddings(
             for p, v in zip(patients, vecs)]
 
 
-def patient_embedding(
-    model: EncoderModel,
-    p: PatientHistory,
-    vocab: Vocabulary,
-    strategy: str = "mean",
-    events_only: bool = False,
-) -> PatientEmbedding:
-    return patient_embeddings(model, [p], vocab, strategy, events_only)[0]
+def patient_embedding(model: EncoderModel, p: PatientHistory, vocab: Vocabulary,
+                      strategy: str = "mean") -> PatientEmbedding:
+    return patient_embeddings(model, [p], vocab, strategy)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -17,8 +17,9 @@ ops give bitwise the outputs and gradients of the unfused composition, which
 
 Training is masked-token prediction: event positions are selected with
 probability ``mask_prob`` and replaced by MASK / a random code / kept
-(80/10/10; a plain always-MASK mode exists), and the model is fit with AdamW
-under global-norm gradient clipping.
+(80/10/10), and the model is fit with AdamW under global-norm gradient
+clipping. :func:`mlm_mask` also has a plain always-MASK mode, which training
+does not use.
 """
 
 from __future__ import annotations
@@ -59,13 +60,11 @@ class ModelConfig:
     d: int = 256
     n_layers: int = 4
     n_heads: int = 4
-    ffn_dim: int = 0  # 0 -> 4*d
     max_len: int = 131  # 3 demographic slots + H event slots
     use_positional: bool = True
     use_gender_age: bool = True  # False: placeholder ids in the demographic slots
     dropout: float = 0.1
     mask_prob: float = 0.25
-    mask_mode: str = "bert"
     lr: float = 5e-5
     batch_size: int = 256
     epochs: int = 30
@@ -74,19 +73,18 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.ffn_dim == 0:
-            self.ffn_dim = 4 * self.d
         if self.d % self.n_heads != 0:
             raise ValueError(f"d={self.d} not divisible by n_heads={self.n_heads}")
-        if not (0.0 < self.mask_prob < 1.0) and self.mask_prob != 1.0:
-            # mask_prob=1.0 allowed only for the plain-mode degenerate case
+        if not (0.0 < self.mask_prob <= 1.0):
             raise ValueError(f"mask_prob must be in (0, 1], got {self.mask_prob}")
         if self.max_len < 4:
             raise ValueError(f"max_len must be >= 4, got {self.max_len}")
-        if self.mask_mode not in MASK_MODES:
-            raise ValueError(f"mask_mode must be one of {MASK_MODES}")
         if self.vocab_size < 8:
             raise ValueError(f"vocab_size {self.vocab_size} leaves no room for the reserved tokens")
+
+    @property
+    def ffn_dim(self) -> int:
+        return 4 * self.d
 
     @property
     def H(self) -> int:
@@ -236,12 +234,10 @@ def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
 class EncoderModel:
     """Parameter store plus forward pass; immutable once training finishes."""
 
-    def __init__(self, config: ModelConfig, params: dict[str, Tensor],
-                 vocab_sha256: str = "", epochs_completed: int = 0):
+    def __init__(self, config: ModelConfig, params: dict[str, Tensor], vocab_sha256: str = ""):
         self.config = config
         self.params = params
         self.vocab_sha256 = vocab_sha256
-        self.epochs_completed = epochs_completed
         self.loss_history: list[float] = []
 
     # -- construction ------------------------------------------------------
@@ -273,7 +269,7 @@ class EncoderModel:
     def astype(self, dtype) -> "EncoderModel":
         """Copy with parameters cast (float64 for gradient checking)."""
         params = {k: T.parameter(t.data.astype(dtype), name=k) for k, t in self.params.items()}
-        m = EncoderModel(self.config, params, self.vocab_sha256, self.epochs_completed)
+        m = EncoderModel(self.config, params, self.vocab_sha256)
         m.loss_history = list(self.loss_history)
         return m
 
@@ -373,7 +369,7 @@ def train(
         norms: list[float] = []
         for b, rows in enumerate(length_batches(lengths, cfg.batch_size, rng)):
             chunk = [samples[j] for j in rows]
-            batch = mlm_mask(chunk, cfg.mask_prob, rng, cfg.vocab_size, mode=cfg.mask_mode)
+            batch = mlm_mask(chunk, cfg.mask_prob, rng, cfg.vocab_size)
             n_masked = int((batch.labels != IGNORE_INDEX).sum())
             if n_masked == 0:
                 continue
@@ -393,7 +389,6 @@ def train(
             total_masked += n_masked
         mean = total_loss / max(total_masked, 1)
         history.append(mean)
-        model.epochs_completed += 1
         model.loss_history.append(mean)
         if log:
             seconds = time.perf_counter() - started
@@ -464,8 +459,6 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
     meta = {
         "config": asdict(model.config),
         "vocab_sha256": model.vocab_sha256,
-        "seed": model.config.seed,
-        "epochs_completed": model.epochs_completed,
         "loss_history": model.loss_history,
     }
     arrays = {k: t.data for k, t in model.params.items()}
@@ -473,11 +466,17 @@ def save_checkpoint(model: EncoderModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path, expected_vocab_sha256: str | None = None) -> EncoderModel:
-    """Load a checkpoint; refuses a vocabulary-hash mismatch when a hash is given."""
+    """Load a checkpoint; refuses a vocabulary-hash mismatch when a hash is given.
+
+    Older checkpoints record two config fields that are now fixed, the
+    masking mode and the FFN width; they are dropped, and a recorded width
+    other than ``4 * d`` fails the parameter shape check.
+    """
     meta, arrays = load_artifact(path, kind="encoder")
     if expected_vocab_sha256 is not None:
         check_pin("vocabulary", meta.get("vocab_sha256", ""), expected_vocab_sha256)
-    config = ModelConfig(**meta["config"])
+    config = ModelConfig(**{k: v for k, v in meta["config"].items()
+                            if k not in ("mask_mode", "ffn_dim")})
     shapes = _param_shapes(config)
     if set(arrays) != set(shapes):
         missing = set(shapes) - set(arrays)
@@ -487,8 +486,7 @@ def load_checkpoint(path: str | Path, expected_vocab_sha256: str | None = None) 
         if arrays[k].shape != shape:
             raise ContainerError(f"parameter {k!r} has shape {arrays[k].shape}, expected {shape}")
     params = {k: T.parameter(arrays[k], name=k) for k in shapes}
-    model = EncoderModel(config, params, vocab_sha256=meta.get("vocab_sha256", ""),
-                         epochs_completed=int(meta.get("epochs_completed", 0)))
+    model = EncoderModel(config, params, vocab_sha256=meta.get("vocab_sha256", ""))
     model.loss_history = list(meta.get("loss_history", []))
     return model
 

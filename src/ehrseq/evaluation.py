@@ -144,13 +144,14 @@ def load_category_map(path: str | Path | None = None, vocab: Vocabulary | None =
 # ---------------------------------------------------------------------------
 
 
-def baseline_most_common(train_patients: Sequence[PatientHistory]) -> NextCodePredictor:
-    """Constant predictor of the modal training code (ties: lexicographic)."""
-    counts = Counter(e.code for p in train_patients for e in p.events)
-    if not counts:
-        raise ValueError("empty training corpus")
-    top = max(counts.values())
-    code = min(c for c, n in counts.items() if n == top)
+def baseline_most_common(vocab: Vocabulary) -> NextCodePredictor:
+    """Constant predictor of the modal training code, the diagnosis token with
+    the largest count in ``vocab.counts``; ties go to the lowest id, which is
+    the lexicographically first code."""
+    top = max(vocab.icd_ids, key=lambda i: vocab.counts[vocab.token(i)])
+    if vocab.counts[vocab.token(top)] == 0:
+        raise ValueError("the vocabulary records no diagnosis code counts")
+    code = vocab.token(top)
 
     def predict(prefixes: Sequence[PatientHistory]) -> list[str]:
         return [code] * len(prefixes)

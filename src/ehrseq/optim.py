@@ -6,6 +6,10 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.999  # second-moment decay
+EPS = 1e-8  # added to the root of the second moment
+
 
 def clip_global_norm(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place so their joint L2 norm is at most max_norm.
@@ -31,24 +35,11 @@ class AdamW:
     zero gradient and decay d it shrinks by exactly (1 - lr*d) per step.
     """
 
-    def __init__(
-        self,
-        params: dict[str, Tensor],
-        lr: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: dict[str, Tensor], lr: float = 1e-3, weight_decay: float = 0.0):
         if lr < 0:
             raise ValueError(f"lr must be non-negative, got {lr}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must be in [0, 1), got {beta1}, {beta2}")
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self._m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -60,8 +51,8 @@ class AdamW:
             raise KeyError(f"missing gradients for parameters: {sorted(missing)}")
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             g = grads[name]
             if g.shape != p.data.shape:
@@ -72,10 +63,10 @@ class AdamW:
                 p.data *= 1.0 - self.lr * self.weight_decay
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * np.square(g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * np.square(g)
             mhat = m / bc1
             vhat = v / bc2
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + EPS)

@@ -47,6 +47,8 @@ _FEMALE_SHARES = [0.5, 0.35, 0.65, 0.45, 0.55, 0.3, 0.7, 0.5, 0.4, 0.6, 0.5, 0.4
 _ZIPF_S = 2.0  # exponent of the within-group code distribution
 _GROUP_COUNT_PROBS = (0.5, 0.35, 0.15)  # a patient has 1, 2 or 3 groups
 _VISIT_SIZE_PROBS = (0.5, 0.3, 0.2)  # a visit has 1, 2 or 3 codes
+MAX_EVENTS = 40  # longest history the generator draws
+START_DATE = dt.date(2014, 1, 1)  # every history starts on or after this day
 
 
 @dataclass(frozen=True)
@@ -65,16 +67,12 @@ class GeneratorConfig:
 
     mean_events: float = 10.0
     repeat_prob: float = 0.3
-    max_events: int = 40
-    start_date: dt.date = dt.date(2014, 1, 1)
 
     def validate(self) -> None:
         if not (0.0 <= self.repeat_prob <= 1.0):
             raise ValueError(f"repeat_prob must be in [0, 1], got {self.repeat_prob}")
         if self.mean_events < 2:
             raise ValueError("mean_events must be >= 2")
-        if self.max_events < 2:
-            raise ValueError("max_events must be >= 2")
 
 
 def corpus_groups(n_codes: int) -> list[GroupSpec]:
@@ -143,7 +141,7 @@ def generate_synthetic_corpus(
         chosen = rng.choice(eligible, size=k, replace=False, p=affinity)
         chosen = [int(c) for c in chosen]
 
-        n_events = min(cfg.max_events, 2 + int(rng.poisson(max(cfg.mean_events - 2.0, 0.0))))
+        n_events = min(MAX_EVENTS, 2 + int(rng.poisson(max(cfg.mean_events - 2.0, 0.0))))
         codes: list[str] = []
         last: str | None = None
         for _ in range(n_events):
@@ -159,7 +157,7 @@ def generate_synthetic_corpus(
             codes.append(code)
             last = code
 
-        day = cfg.start_date + dt.timedelta(days=int(rng.integers(0, 1500)))
+        day = START_DATE + dt.timedelta(days=int(rng.integers(0, 1500)))
         events: list[Event] = []
         pos = 0
         while pos < len(codes):

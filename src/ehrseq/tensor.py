@@ -57,6 +57,7 @@ DEFAULT_DTYPE = np.float32
 # float64 numpy scalar turns a float32 array into float64.
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+LAYER_NORM_EPS = 1e-12  # added to the variance in layer_norm
 
 # Eigen's generic_fast_erf_float, erf(u) = u P(u^2) / Q(u^2) on |u| <= 4,
 # highest power first. _CDF_P and _CDF_Q are the same rational in t = x^2
@@ -414,7 +415,7 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
     return _emit("embedding_lookup", out, (table,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
         raise TensorError(f"layer_norm: affine shapes {gamma.shape}/{beta.shape} do not match feature dim {d}")
@@ -422,7 +423,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-12) -> Te
     mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    ivar = 1.0 / np.sqrt(var + eps)
+    ivar = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * ivar
     out = xhat * gamma.data + beta.data
 

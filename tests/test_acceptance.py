@@ -269,7 +269,7 @@ def test_criterion_4_desk_scale_learning(desk):
         accuracy = {}
         for name, predictor in (
             ("model", ModelNextCodePredictor(model, vocab)),
-            ("most_common", baseline_most_common(desk["kept"])),
+            ("most_common", baseline_most_common(vocab)),
             ("previous", baseline_previous()),
         ):
             report = next_code_accuracy(predictor, eval_patients, thresholds=(4, 8))

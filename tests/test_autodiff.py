@@ -345,8 +345,6 @@ class TestAdamW:
         p = T.parameter(np.zeros(2))
         with pytest.raises(ValueError):
             AdamW({"p": p}, lr=-1.0)
-        with pytest.raises(ValueError):
-            AdamW({"p": p}, beta1=1.0)
 
 
 class TestClipGlobalNorm:

@@ -4,9 +4,11 @@ Tests call ``cli.main`` in-process and parse the single JSON summary line
 each successful subcommand prints.
 """
 
+import datetime as dt
 import json
 import shlex
 import socketserver
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -530,3 +532,73 @@ class TestEncoderPin:
             assert cli.main(argv) == 1, argv[0]
             err = capsys.readouterr().err
             assert "error: encoder" in err, err
+
+
+class TestMostCommonBaseline:
+    """The most-common baseline predicts the modal code of the vocabulary's training counts."""
+
+    def test_reads_the_training_mode_not_the_scored_corpus(self, tmp_path, capsys):
+        def history(pid, codes):
+            return corpus.PatientHistory(pid, "F", 40, [corpus.Event(dt.date(2015, 1, 1 + i), c)
+                                                        for i, c in enumerate(codes)])
+
+        train = [history(f"t{i}", ["A01", "A01", "B01"]) for i in range(3)]
+        test = [history(f"h{i}", ["B01", "B01"]) for i in range(4)] + [history("h4", ["B01", "A01"])]
+        corpus.write_patients_jsonl(train, tmp_path / "train.jsonl")
+        corpus.write_patients_jsonl(test, tmp_path / "test.jsonl")
+        assert cli.main(["build-vocab", "--patients", str(tmp_path / "train.jsonl"),
+                         "--out", str(tmp_path / "vocab.tsv")]) == 0
+        capsys.readouterr()
+        code, summary = run(capsys, "eval-next-code", "--patients", str(tmp_path / "test.jsonl"),
+                            "--vocab", str(tmp_path / "vocab.tsv"),
+                            "--predictor", "most-common", "--thresholds", "2")
+        assert code == 0
+        assert summary["cells"][0]["value"] == 0.2  # A01, the training mode, is 1 label of 5
+
+    def test_without_vocab_is_a_usage_error(self, pipeline, capsys):
+        assert cli.main(["eval-next-code", "--patients", str(pipeline / "filtered.jsonl"),
+                         "--predictor", "most-common"]) == 1
+        err = capsys.readouterr().err
+        assert "error: --predictor most-common needs --vocab" in err
+        assert "usage:" in err
+
+
+class TestCategoryFileReport:
+    def test_eval_visits_reports_skipped_rows_and_unmapped_codes(self, pipeline, tmp_path, capsys):
+        vocab = corpus.Vocabulary.load(pipeline / "vocab.tsv")
+        first, second = (vocab.token(i) for i in vocab.icd_ids[:2])
+        path = tmp_path / "cats.csv"
+        path.write_text(f"{first},cat_a\n{second},cat_b\nnot,a,row\n")
+        assert cli.main(["eval-visits", "--patients", str(pipeline / "filtered.jsonl"),
+                         "--vocab", str(pipeline / "vocab.tsv"), "--scorer", "frequency",
+                         "--categories", str(path), "--ks", "3", "--folds", "2"]) == 0
+        out, err = capsys.readouterr()
+        summary = json.loads(out)
+        assert summary["categories"] == 3
+        assert summary["skipped_category_rows"] == 1
+        assert summary["unmapped_codes"] == vocab.n_icd - 2
+        assert f"warning: skipped 1 malformed rows in {path}" in err
+        assert f"{vocab.n_icd - 2} of the {vocab.n_icd} vocabulary codes" in err
+
+
+class TestArtifactErrors:
+    def test_malformed_scorer_header_exits_1_without_traceback(self, tmp_path, capsys):
+        blob = json.dumps([{"format_version": 1}]).encode("utf-8")
+        path = tmp_path / "bad.bin"
+        path.write_bytes(container.MAGIC + struct.pack("<I", len(blob)) + blob)
+        assert cli.main(["psi", "--scorer", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: artifact header is not a JSON object: {path}")
+        assert "Traceback" not in err
+
+    def test_checkpoint_with_another_vocabulary_names_the_remedy(self, pipeline, tmp_path, capsys):
+        other = corpus.build_vocabulary(corpus.ingest_corpus(pipeline / "filtered.jsonl").patients[:40])
+        other.save(tmp_path / "other.tsv")
+        assert cli.main(["embed", "--patients", str(pipeline / "filtered.jsonl"),
+                         "--vocab", str(tmp_path / "other.tsv"),
+                         "--model", str(pipeline / "encoder.ckpt"),
+                         "--out", str(tmp_path / "e.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert "error: vocabulary mismatch" in err
+        assert "pass the vocabulary it was built with, or rebuild it" in err
+        assert "score-train" not in err

@@ -230,8 +230,6 @@ class TestIngest:
         assert [p.patient_id for p in res.patients] == ["p1"] and res.skipped == 4
         for (_, field), lineno, reason in zip(bad, range(2, 6), res.errors):
             assert reason.startswith(f"line {lineno}: {field}:")
-        with pytest.raises(ValueError, match=r"c\.jsonl:2: malformed patient record: events\[0\]\.icd:"):
-            C.ingest_corpus(path, strict=True)
 
     @pytest.mark.parametrize("change, field", [
         ({"patient_id": ""}, "patient_id"), ({"age": -40}, "age"), ({"age": 131}, "age"),
@@ -246,12 +244,6 @@ class TestIngest:
         path.write_text(json.dumps(obj) + "\n")
         res = C.ingest_corpus(path)
         assert res.skipped == 1 and res.errors[0].startswith(f"line 1: {field}:")
-
-    def test_strict_raises(self, tmp_path):
-        path = tmp_path / "c.jsonl"
-        path.write_text("not json\n")
-        with pytest.raises(ValueError, match="malformed"):
-            C.ingest_corpus(path, strict=True)
 
     def test_events_sorted_by_date(self, tmp_path):
         obj = {
@@ -309,8 +301,6 @@ class TestIngest:
         path.write_text(json.dumps(obj) + "\n")
         records, skipped, errors = C.read_insurance_jsonl(path)
         assert (records, skipped) == ([], 1) and errors[0].startswith(f"line 1: {field}:")
-        with pytest.raises(ValueError, match=f"malformed application record: {field}:"):
-            C.read_insurance_jsonl(path, strict=True)
         # a scoring request carries neither field
         rec = C.parse_application(obj, labelled=False)
         assert (rec.month, rec.claim) == (0, 0)

@@ -1,5 +1,7 @@
+import json
 import math
 import re
+import struct
 
 import numpy as np
 import numpy.testing as npt
@@ -385,7 +387,7 @@ class TestTrain:
         m = EncoderModel.build(cfg)
         hist = train(m, samples, epochs=3)
         assert hist[-1] < hist[0]
-        assert m.epochs_completed == 3
+        assert len(m.loss_history) == 3
         assert m.loss_history == hist
 
     def test_diverging_run_aborts_with_location(self, tiny_setup):
@@ -595,6 +597,48 @@ class TestCheckpoint:
         with pytest.raises(ContainerError, match="truncated"):
             load_checkpoint(clipped)
 
+    def test_records_no_copied_or_retired_fields(self, tiny_setup, tmp_path):
+        _, _, _, model, _ = tiny_setup
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        meta, _ = load_artifact(path, kind="encoder")
+        assert set(meta) == {"config", "vocab_sha256", "loss_history"}
+        assert not {"mask_mode", "ffn_dim"} & set(meta["config"])
+
+    @staticmethod
+    def _save_older_layout(model, path, ffn_dim):
+        """Save ``model`` with the meta fields earlier versions wrote: the masking
+        mode and FFN width in the config, and the seed and epoch count beside it.
+        The FFN parameters are stored at the recorded width."""
+        save_checkpoint(model, path)
+        meta, arrays = load_artifact(path, kind="encoder")
+        meta["config"].update(mask_mode="bert", ffn_dim=ffn_dim)
+        meta.update(seed=model.config.seed, epochs_completed=len(model.loss_history))
+        d = model.config.d
+        for i in range(model.config.n_layers):
+            arrays[f"l{i}.ffn_w1"] = arrays[f"l{i}.ffn_w1"][:, :ffn_dim]
+            arrays[f"l{i}.ffn_b1"] = arrays[f"l{i}.ffn_b1"][:ffn_dim]
+            arrays[f"l{i}.ffn_w2"] = arrays[f"l{i}.ffn_w2"][:ffn_dim, :d]
+        save_artifact(path, kind="encoder", meta=meta, arrays=arrays)
+
+    def test_older_layout_loads_unchanged(self, tiny_setup, tmp_path):
+        _, _, cfg, _, samples = tiny_setup
+        model = EncoderModel.build(cfg)
+        train(model, samples[:32], epochs=2)
+        path = tmp_path / "old.ckpt"
+        self._save_older_layout(model, path, ffn_dim=4 * cfg.d)
+        loaded = load_checkpoint(path)
+        assert loaded.config == model.config
+        assert loaded.loss_history == model.loss_history and len(loaded.loss_history) == 2
+        assert loaded.params_sha256() == model.params_sha256()
+
+    def test_older_layout_with_another_ffn_width_is_refused(self, tiny_setup, tmp_path):
+        _, _, cfg, model, _ = tiny_setup
+        path = tmp_path / "old.ckpt"
+        self._save_older_layout(model, path, ffn_dim=2 * cfg.d)
+        with pytest.raises(ContainerError, match="ffn_w1"):
+            load_checkpoint(path)
+
     def test_garbage_file_errors(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"PNG\x00\x00 definitely not a checkpoint")
@@ -638,10 +682,37 @@ class TestContainer:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["art.bin"]
 
+    @pytest.mark.parametrize("header, reason", [
+        ([1, 2], "not a JSON object"),
+        ({"kind": 5}, "kind"),
+        ({"meta": None}, "meta"),
+        ({"meta": []}, "meta"),
+        ({"arrays": {"name": "a", "shape": [1]}}, "arrays"),
+        ({"arrays": [5]}, "array 0"),
+        ({"arrays": [{"shape": [1]}]}, "array 0"),
+        ({"arrays": [{"name": 3, "shape": [1]}]}, "array 0"),
+        ({"arrays": [{"name": "a"}]}, "array 0"),
+        ({"arrays": [{"name": "a", "shape": ["1"]}]}, "array 0"),
+        ({"arrays": [{"name": "a", "shape": [-1]}]}, "array 0"),
+        ({"arrays": [{"name": "a", "shape": [True]}]}, "array 0"),
+        ({"arrays": [{"name": "a", "shape": [1.0]}]}, "array 0"),
+        ({"arrays": [{"name": "a", "shape": [1]}, {"name": "a", "shape": [1]}]}, "declared twice"),
+    ])
+    def test_malformed_header_is_a_container_error(self, tmp_path, header, reason):
+        if isinstance(header, dict):
+            header = {"format_version": 1, "kind": "t", "meta": {}, "arrays": [], **header}
+        blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "bad.bin"
+        path.write_bytes(b"EHRSEQ1" + struct.pack("<I", len(blob)) + blob
+                         + 2 * (struct.pack("<I", 4) + bytes(4)))
+        with pytest.raises(ContainerError, match=reason) as exc:
+            load_artifact(path, kind="t")
+        assert str(path) in str(exc.value)
+
     def test_trailing_bytes_rejected(self, tmp_path):
         path = tmp_path / "art.bin"
         save_artifact(path, "t", {}, {"a": np.zeros(2, dtype=np.float32)})
         with open(path, "ab") as fh:
             fh.write(b"extra")
         with pytest.raises(ContainerError, match="trailing"):
-            load_artifact(path)
+            load_artifact(path, kind="t")

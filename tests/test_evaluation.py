@@ -113,7 +113,7 @@ class TestNextCodeAccuracy:
             npt.assert_allclose(cell.value, hits / len(eligible), rtol=1e-12)
 
     def test_most_common_baseline_matches_counting(self, corpus):
-        mc = baseline_most_common(corpus)
+        mc = baseline_most_common(build_vocabulary(corpus))
         rep = next_code_accuracy(mc, corpus, thresholds=(4,))
         eligible = [p for p in corpus if len(p.events) >= 4]
         code = mc(corpus[:1])[0]
@@ -135,7 +135,7 @@ class TestNextCodeAccuracy:
 
     def test_most_common_breaks_ties_lexicographically(self):
         patients = [mkpatient("a", ["B01", "A01"]), mkpatient("b", ["A01", "B01"])]
-        assert baseline_most_common(patients)(patients[:1]) == ["A01"]
+        assert baseline_most_common(build_vocabulary(patients))(patients[:1]) == ["A01"]
 
     def test_bad_threshold(self):
         with pytest.raises(ValueError, match="threshold"):

@@ -578,9 +578,6 @@ class TestParseScoreRequest:
         path.write_text(json.dumps({**payload, "month": 0, "claim": 0}) + "\n")
         records, skipped, errors = read_insurance_jsonl(path)
         assert (records, skipped) == ([], 1) and errors[0].startswith(f"line 1: {field}:")
-        with pytest.raises(ValueError) as exc:
-            read_insurance_jsonl(path, strict=True)
-        assert f"malformed application record: {field}:" in str(exc.value)
 
 
 class TestEncoderPin:

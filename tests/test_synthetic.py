@@ -13,6 +13,8 @@ import pytest
 from ehrseq.corpus import GENDERS, write_patients_jsonl
 from ehrseq.icd import is_valid_code
 from ehrseq.synthetic import (
+    MAX_EVENTS,
+    START_DATE,
     GeneratorConfig,
     InsuranceConfig,
     corpus_groups,
@@ -64,7 +66,7 @@ def test_basic_shape(corpus3k):
 def test_mean_events_near_target(corpus3k):
     lens = [len(p.events) for p in corpus3k]
     assert abs(np.mean(lens) - 10.0) < 0.5
-    assert max(lens) <= GeneratorConfig().max_events
+    assert max(lens) <= MAX_EVENTS
 
 
 def test_repeat_fraction_matches_knob(corpus3k):
@@ -107,9 +109,8 @@ def test_age_windows_respected(corpus3k):
 
 
 def test_visit_dates_move_forward(corpus3k):
-    cfg = GeneratorConfig()
     for p in corpus3k[:100]:
-        assert p.events[0].date >= cfg.start_date
+        assert p.events[0].date >= START_DATE
 
 
 @pytest.fixture(scope="module")
